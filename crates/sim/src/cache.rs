@@ -46,7 +46,11 @@ struct Way<P> {
 /// A set-associative array with per-line payloads.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SetAssocArray<P> {
-    sets: u64,
+    /// `sets - 1`: the set count is a power of two, so the set index is
+    /// the line number's low bits and the tag the rest.
+    set_mask: u64,
+    /// `log2(sets)`.
+    set_bits: u32,
     ways: u32,
     lines: Vec<Way<P>>,
     tick: u64,
@@ -56,11 +60,18 @@ pub struct SetAssocArray<P> {
 
 impl<P: Default + Copy> SetAssocArray<P> {
     /// Builds an empty array with the given geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a geometry [`CacheConfig::is_valid`] rejects (simulator
+    /// constructors validate their configuration first).
     pub fn new(config: CacheConfig) -> Self {
+        assert!(config.is_valid(), "invalid cache geometry {config:?}");
         let sets = config.sets();
         let total = (sets * u64::from(config.ways)) as usize;
         SetAssocArray {
-            sets,
+            set_mask: sets - 1,
+            set_bits: sets.trailing_zeros(),
             ways: config.ways,
             lines: vec![
                 Way {
@@ -79,11 +90,11 @@ impl<P: Default + Copy> SetAssocArray<P> {
     }
 
     fn set_of(&self, line_addr: u64) -> u64 {
-        (line_addr / LINE_BYTES) % self.sets
+        (line_addr / LINE_BYTES) & self.set_mask
     }
 
     fn tag_of(&self, line_addr: u64) -> u64 {
-        (line_addr / LINE_BYTES) / self.sets
+        (line_addr / LINE_BYTES) >> self.set_bits
     }
 
     fn range(&self, set: u64) -> std::ops::Range<usize> {
@@ -113,7 +124,7 @@ impl<P: Default + Copy> SetAssocArray<P> {
         let tag = self.tag_of(line_addr);
         let range = self.range(set);
         let tick = self.tick;
-        let sets = self.sets;
+        let set_bits = self.set_bits;
 
         // Hit path.
         if let Some(w) = self.lines[range.clone()]
@@ -141,7 +152,7 @@ impl<P: Default + Copy> SetAssocArray<P> {
         let w = &mut ways[victim_idx];
         let victim = if w.valid {
             Some(EvictedLine {
-                line_addr: (w.tag * sets + set) * LINE_BYTES,
+                line_addr: ((w.tag << set_bits) | set) * LINE_BYTES,
                 dirty: w.dirty,
                 payload: w.payload,
             })

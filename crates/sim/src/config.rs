@@ -108,18 +108,29 @@ impl CacheConfig {
     /// Panics if the size is not a positive multiple of
     /// `ways * `[`crate::LINE_BYTES`] or the set count is not a power of two.
     pub fn new(size_bytes: u64, ways: u32) -> Self {
-        assert!(ways > 0 && size_bytes > 0, "degenerate cache geometry");
-        let sets = size_bytes / (u64::from(ways) * crate::LINE_BYTES);
+        let c = CacheConfig { size_bytes, ways };
         assert!(
-            sets > 0 && sets.is_power_of_two(),
-            "cache must have a power-of-two number of sets, got {sets}"
+            c.is_valid(),
+            "cache must have at least one way and a power-of-two number of sets, \
+             got {ways} ways x {} sets",
+            c.sets()
         );
-        CacheConfig { size_bytes, ways }
+        c
     }
 
-    /// Number of sets.
+    /// Whether the geometry is one [`CacheConfig::new`] accepts: at least
+    /// one way and a positive power-of-two number of sets. Geometries
+    /// loaded through serde bypass `new`; [`ClusterConfig::validate_at`]
+    /// checks them with this.
+    pub fn is_valid(&self) -> bool {
+        self.ways > 0 && self.sets().is_power_of_two()
+    }
+
+    /// Number of sets (0 for a degenerate zero-way geometry).
     pub fn sets(&self) -> u64 {
-        self.size_bytes / (u64::from(self.ways) * crate::LINE_BYTES)
+        self.size_bytes
+            .checked_div(u64::from(self.ways) * crate::LINE_BYTES)
+            .unwrap_or(0)
     }
 }
 
@@ -441,6 +452,14 @@ impl ClusterConfig {
     /// [`crate::llc::SharerMask`].
     pub const MAX_CORES: u32 = 32;
 
+    /// Largest supported reorder window. The core allocates its
+    /// per-instruction state up front, one entry per window slot.
+    pub const MAX_ROB_ENTRIES: u32 = 4096;
+
+    /// Largest supported L1 or long-op latency in cycles. The core's issue
+    /// scheduler keeps one bucket per cycle of its longest latency.
+    pub const MAX_LATENCY: u32 = 1024;
+
     /// The paper's cluster: 4 Cortex-A57 cores, 4 MB LLC, crossbar.
     pub fn paper_cluster(core_mhz: f64) -> Self {
         ClusterConfig {
@@ -470,8 +489,11 @@ impl ClusterConfig {
     /// Returns [`SimConfigError::Cores`] when the core count is zero or
     /// exceeds [`Self::MAX_CORES`] (the sharer-mask width — `1 << core`
     /// on the directory mask would otherwise overflow silently in release
-    /// builds), and [`SimConfigError::Frequency`] when `core_mhz` is not
-    /// positive and finite.
+    /// builds), [`SimConfigError::Frequency`] when `core_mhz` is not
+    /// positive and finite, [`SimConfigError::Cache`] for an L1 or LLC
+    /// geometry [`CacheConfig::new`] would reject, and
+    /// [`SimConfigError::Core`] for a core parameter outside
+    /// [`CoreParam::range`].
     pub fn validate_at(&self, cluster: usize) -> Result<(), SimConfigError> {
         if self.cores < 1 || self.cores > Self::MAX_CORES {
             return Err(SimConfigError::Cores {
@@ -484,6 +506,36 @@ impl ClusterConfig {
                 cluster,
                 core_mhz: self.core_mhz,
             });
+        }
+        let caches = [
+            (CacheLevel::L1i, self.core.l1i),
+            (CacheLevel::L1d, self.core.l1d),
+            (CacheLevel::Llc, self.llc.cache),
+        ];
+        for (level, cache) in caches {
+            if !cache.is_valid() {
+                return Err(SimConfigError::Cache {
+                    cluster,
+                    level,
+                    size_bytes: cache.size_bytes,
+                    ways: cache.ways,
+                });
+            }
+        }
+        let params = [
+            (CoreParam::Width, self.core.width),
+            (CoreParam::RobEntries, self.core.rob_entries),
+            (CoreParam::L1Latency, self.core.l1_latency),
+            (CoreParam::LongOpLatency, self.core.long_op_latency),
+        ];
+        for (param, value) in params {
+            if !param.range().contains(&value) {
+                return Err(SimConfigError::Core {
+                    cluster,
+                    param,
+                    value,
+                });
+            }
         }
         Ok(())
     }
@@ -640,6 +692,63 @@ impl SimConfig {
     }
 }
 
+/// A cluster's cache array, as named by [`SimConfigError::Cache`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CacheLevel {
+    /// The per-core L1 instruction cache.
+    L1i,
+    /// The per-core L1 data cache.
+    L1d,
+    /// The cluster's shared last-level cache.
+    Llc,
+}
+
+impl fmt::Display for CacheLevel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            CacheLevel::L1i => "L1-I",
+            CacheLevel::L1d => "L1-D",
+            CacheLevel::Llc => "LLC",
+        })
+    }
+}
+
+/// A range-checked [`CoreConfig`] field, as named by
+/// [`SimConfigError::Core`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CoreParam {
+    /// [`CoreConfig::width`]: zero would never fetch, issue or commit.
+    Width,
+    /// [`CoreConfig::rob_entries`]: an empty window stalls fetch forever.
+    RobEntries,
+    /// [`CoreConfig::l1_latency`].
+    L1Latency,
+    /// [`CoreConfig::long_op_latency`].
+    LongOpLatency,
+}
+
+impl CoreParam {
+    /// The values the simulator supports.
+    pub fn range(self) -> std::ops::RangeInclusive<u32> {
+        match self {
+            CoreParam::Width => 1..=u32::MAX,
+            CoreParam::RobEntries => 1..=ClusterConfig::MAX_ROB_ENTRIES,
+            CoreParam::L1Latency | CoreParam::LongOpLatency => 0..=ClusterConfig::MAX_LATENCY,
+        }
+    }
+}
+
+impl fmt::Display for CoreParam {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            CoreParam::Width => "width",
+            CoreParam::RobEntries => "rob_entries",
+            CoreParam::L1Latency => "l1_latency",
+            CoreParam::LongOpLatency => "long_op_latency",
+        })
+    }
+}
+
 /// A structurally invalid [`SimConfig`] / [`ChipConfig`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
@@ -660,6 +769,27 @@ pub enum SimConfigError {
         /// The rejected frequency in MHz.
         core_mhz: f64,
     },
+    /// A cache geometry with no ways or a set count that is not a
+    /// positive power of two.
+    Cache {
+        /// Index of the offending cluster.
+        cluster: usize,
+        /// Which cache array.
+        level: CacheLevel,
+        /// The rejected capacity in bytes.
+        size_bytes: u64,
+        /// The rejected associativity.
+        ways: u32,
+    },
+    /// A core parameter outside [`CoreParam::range`].
+    Core {
+        /// Index of the offending cluster.
+        cluster: usize,
+        /// Which parameter.
+        param: CoreParam,
+        /// The rejected value.
+        value: u32,
+    },
     /// Invalid chip-shared DRAM geometry.
     Dram(DramConfigError),
 }
@@ -677,6 +807,29 @@ impl fmt::Display for SimConfigError {
                 f,
                 "cluster {cluster}: core frequency must be positive and finite, got {core_mhz}"
             ),
+            SimConfigError::Cache {
+                cluster,
+                level,
+                size_bytes,
+                ways,
+            } => write!(
+                f,
+                "cluster {cluster}: {level} of {size_bytes} bytes x {ways} ways needs at least \
+                 one way and a positive power-of-two number of sets"
+            ),
+            SimConfigError::Core {
+                cluster,
+                param,
+                value,
+            } => {
+                let range = param.range();
+                write!(
+                    f,
+                    "cluster {cluster}: core {param} must be in {}..={}, got {value}",
+                    range.start(),
+                    range.end()
+                )
+            }
             SimConfigError::Dram(e) => write!(f, "invalid DRAM configuration: {e}"),
         }
     }
@@ -776,6 +929,98 @@ mod tests {
             Err(SimConfigError::Cores {
                 cluster: 0,
                 cores: 0
+            })
+        ));
+    }
+
+    #[test]
+    fn validate_rejects_bad_cache_geometry() {
+        // Serde-loaded geometries bypass `CacheConfig::new`'s asserts.
+        let mut chip = ChipConfig::homogeneous(&SimConfig::paper_cluster(1000.0), 2);
+        chip.clusters[1].core.l1d = CacheConfig {
+            size_bytes: 48 * 1024,
+            ways: 2,
+        };
+        assert_eq!(
+            chip.validate(),
+            Err(SimConfigError::Cache {
+                cluster: 1,
+                level: CacheLevel::L1d,
+                size_bytes: 48 * 1024,
+                ways: 2
+            })
+        );
+        let mut c = SimConfig::paper_cluster(1000.0);
+        c.core.l1i.ways = 0;
+        assert!(matches!(
+            c.validate(),
+            Err(SimConfigError::Cache {
+                cluster: 0,
+                level: CacheLevel::L1i,
+                ways: 0,
+                ..
+            })
+        ));
+        let mut c = SimConfig::paper_cluster(1000.0);
+        c.llc.cache.size_bytes = 0;
+        let err = c.validate().unwrap_err();
+        assert!(matches!(
+            err,
+            SimConfigError::Cache {
+                level: CacheLevel::Llc,
+                ..
+            }
+        ));
+        assert!(err.to_string().contains("cluster 0: LLC"), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_empty_window_and_zero_width() {
+        let mut c = SimConfig::paper_cluster(1000.0);
+        c.core.rob_entries = 0;
+        assert_eq!(
+            c.validate(),
+            Err(SimConfigError::Core {
+                cluster: 0,
+                param: CoreParam::RobEntries,
+                value: 0
+            })
+        );
+        let mut chip = ChipConfig::homogeneous(&SimConfig::paper_cluster(1000.0), 3);
+        chip.clusters[2].core.width = 0;
+        let err = chip.validate().unwrap_err();
+        assert_eq!(
+            err,
+            SimConfigError::Core {
+                cluster: 2,
+                param: CoreParam::Width,
+                value: 0
+            }
+        );
+        assert!(err.to_string().contains("cluster 2: core width"), "{err}");
+    }
+
+    #[test]
+    fn validate_bounds_window_and_latencies() {
+        let mut c = SimConfig::paper_cluster(1000.0);
+        c.core.rob_entries = ClusterConfig::MAX_ROB_ENTRIES;
+        c.core.long_op_latency = ClusterConfig::MAX_LATENCY;
+        assert_eq!(c.validate(), Ok(()));
+        c.core.rob_entries += 1;
+        assert!(matches!(
+            c.validate(),
+            Err(SimConfigError::Core {
+                param: CoreParam::RobEntries,
+                ..
+            })
+        ));
+        c.core.rob_entries = 128;
+        c.core.l1_latency = ClusterConfig::MAX_LATENCY + 1;
+        assert!(matches!(
+            c.validate(),
+            Err(SimConfigError::Core {
+                param: CoreParam::L1Latency,
+                ..
             })
         ));
     }

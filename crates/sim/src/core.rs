@@ -20,12 +20,9 @@
 use crate::bpred::{BranchPredictor, SyntheticBranchBehaviour};
 use crate::cache::{AccessOutcome, SetAssocArray};
 use crate::config::CoreConfig;
-use crate::fxhash::FxHashMap;
 use crate::instr::{InstructionStream, OpClass};
 use crate::memsys::{MemRequestKind, MemTicket, MemorySystem};
 use crate::stats::CoreStats;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Stage {
@@ -49,7 +46,6 @@ enum Stage {
 
 #[derive(Debug, Clone, Copy)]
 struct RobEntry {
-    seq: u64,
     op: OpClass,
     addr: u64,
     dep_seq: Option<u64>,
@@ -57,14 +53,38 @@ struct RobEntry {
     stage: Stage,
 }
 
+/// End of an intrusive wake list.
+const NIL: u32 = u32::MAX;
+
+fn set_bit(words: &mut [u64], slot: usize) {
+    words[slot >> 6] |= 1 << (slot & 63);
+}
+
 /// One out-of-order core.
+///
+/// Every per-instruction structure is indexed by *ROB slot*,
+/// `seq & slot_mask`, over a power-of-two ring of at least 64 slots. The
+/// window never holds more than `rob_entries` (at most the ring size)
+/// instructions, so in-window slots are unique and slot order starting at
+/// the head's slot is sequence order.
 #[derive(Debug)]
 pub struct Core {
     id: u32,
     cfg: CoreConfig,
     l1i: SetAssocArray<()>,
     l1d: SetAssocArray<()>,
-    rob: std::collections::VecDeque<RobEntry>,
+    /// The L1-I line fetch touched last. Re-touching it is always a hit
+    /// that leaves the array's LRU order unchanged (it already holds the
+    /// newest stamp, and the L1-I is never invalidated), so fetch skips
+    /// the lookup.
+    last_iline: Option<u64>,
+    /// The reorder window: a ring holding sequence numbers
+    /// `head..next_seq` at their slots.
+    rob: Vec<RobEntry>,
+    /// Ring size minus one.
+    slot_mask: u64,
+    /// Sequence number of the oldest in-window instruction.
+    head: u64,
     /// Sequence number of the next fetched instruction.
     next_seq: u64,
     /// Fetch is stalled until this cycle (branch redirect).
@@ -79,23 +99,26 @@ pub struct Core {
     /// polling touches only in-flight loads instead of scanning the window.
     in_flight_loads: Vec<u64>,
     /// Issue-eligible [`Stage::Waiting`] entries (producer ready or no
-    /// dependency), by sequence number. Popping this heap in order
-    /// reproduces the old full-window scan's seq-order walk over exactly
-    /// the entries whose operand check would pass.
-    ready: BinaryHeap<Reverse<u64>>,
-    /// Entries whose producer's completion cycle is known but still ahead:
-    /// `(producer done_cycle, seq)`, drained into `ready` as cycles pass.
-    future: BinaryHeap<Reverse<(u64, u64)>>,
-    /// Dependents of producers whose completion cycle is not yet known
-    /// (producer still `Waiting` or in `Memory`): producer seq → waiting
-    /// consumer seqs. Moved to `future` when the producer's completion
-    /// cycle materialises.
-    wake: FxHashMap<u64, Vec<u64>>,
-    /// Recycled wake lists (allocation-free steady state).
-    wake_pool: Vec<Vec<u64>>,
-    /// Reused buffer for issue-eligible entries that must retry next cycle
-    /// (MSHR-full loads).
-    retry_buf: Vec<u64>,
+    /// dependency), one bit per slot. Scanning from the head's slot yields
+    /// them oldest first — the same pick as the old full-window scan.
+    ready: Vec<u64>,
+    /// Latency wheel: an entry whose producer completes at a known future
+    /// cycle `c` waits in bucket `c & wheel_mask` (a slot bitset of
+    /// `ready.len()` words) until cycle `c` is drained into `ready`. Every
+    /// insert lands within the horizon: the latest known completion is
+    /// `max(long_op_latency, l1_latency)` cycles out, and a polled fill
+    /// wakes its consumers the next cycle.
+    wheel: Vec<u64>,
+    /// Bucket count minus one.
+    wheel_mask: u64,
+    /// First cycle whose bucket has not been drained into `ready`.
+    wheel_next: u64,
+    /// Per slot, the first consumer waiting on this producer while its
+    /// completion cycle is unknown (producer waiting or in memory); [`NIL`]
+    /// when none.
+    wake_head: Vec<u32>,
+    /// Per slot, the next consumer on the same wake list.
+    wake_next: Vec<u32>,
     /// Background store (read-for-ownership) fills in flight.
     pending_stores: Vec<MemTicket>,
     /// Sequence number of the next instruction to issue under the
@@ -111,23 +134,37 @@ pub struct Core {
 impl Core {
     /// Builds an idle core.
     pub fn new(id: u32, cfg: CoreConfig) -> Self {
+        let slots = (cfg.rob_entries as usize).next_power_of_two().max(64);
+        let words = slots / 64;
+        let buckets = (cfg.long_op_latency.max(cfg.l1_latency) as usize + 2).next_power_of_two();
+        let idle = RobEntry {
+            op: OpClass::IntAlu,
+            addr: 0,
+            dep_seq: None,
+            is_user: false,
+            stage: Stage::Waiting,
+        };
         Core {
             id,
             cfg,
             l1i: SetAssocArray::new(cfg.l1i),
             l1d: SetAssocArray::new(cfg.l1d),
-            rob: std::collections::VecDeque::with_capacity(cfg.rob_entries as usize),
+            last_iline: None,
+            rob: vec![idle; slots],
+            slot_mask: slots as u64 - 1,
+            head: 0,
             next_seq: 0,
             fetch_stall_until: 0,
             ifetch_miss: None,
             redirect_on: None,
             outstanding_data: 0,
             in_flight_loads: Vec::new(),
-            ready: BinaryHeap::new(),
-            future: BinaryHeap::new(),
-            wake: FxHashMap::default(),
-            wake_pool: Vec::new(),
-            retry_buf: Vec::new(),
+            ready: vec![0; words],
+            wheel: vec![0; buckets * words],
+            wheel_mask: buckets as u64 - 1,
+            wheel_next: 0,
+            wake_head: vec![NIL; slots],
+            wake_next: vec![NIL; slots],
             pending_stores: Vec::new(),
             inorder_next: 0,
             bpred: cfg
@@ -162,6 +199,7 @@ impl Core {
     /// (checkpoint-style warming).
     pub fn install_l1i(&mut self, line_addr: u64) {
         let _ = self.l1i.access(line_addr, false);
+        self.last_iline = None;
     }
 
     /// Applies a coherence invalidation to the L1-D; returns the dirty flag
@@ -192,29 +230,27 @@ impl Core {
 
     fn commit(&mut self, cycle: u64) {
         for _ in 0..self.cfg.width {
-            match self.rob.front() {
-                Some(e) => {
-                    // `Executing` commits one cycle after its `Done`
-                    // equivalent: the old per-cycle scan rewrote it to
-                    // `Done` *after* commit ran, so commit first saw the
-                    // result a cycle past `done_cycle`.
-                    let committable = match e.stage {
-                        Stage::Done { done_cycle } => done_cycle <= cycle,
-                        Stage::Executing { done_cycle } => done_cycle < cycle,
-                        _ => false,
-                    };
-                    if !committable {
-                        break;
-                    }
-                    let e = self.rob.pop_front().expect("front exists");
-                    if e.is_user {
-                        self.stats.user_instrs += 1;
-                    } else {
-                        self.stats.os_instrs += 1;
-                    }
-                }
-                None => break,
+            if self.head == self.next_seq {
+                break;
             }
+            let e = &self.rob[self.slot(self.head)];
+            // `Executing` commits one cycle after its `Done` equivalent:
+            // the old per-cycle scan rewrote it to `Done` *after* commit
+            // ran, so commit first saw the result a cycle past `done_cycle`.
+            let committable = match e.stage {
+                Stage::Done { done_cycle } => done_cycle <= cycle,
+                Stage::Executing { done_cycle } => done_cycle < cycle,
+                _ => false,
+            };
+            if !committable {
+                break;
+            }
+            if e.is_user {
+                self.stats.user_instrs += 1;
+            } else {
+                self.stats.os_instrs += 1;
+            }
+            self.head += 1;
         }
     }
 
@@ -224,10 +260,11 @@ impl Core {
         if !self.in_flight_loads.is_empty() {
             let mut loads = std::mem::take(&mut self.in_flight_loads);
             loads.retain(|&seq| {
-                let Some(idx) = self.rob_index(seq) else {
+                if !self.in_window(seq) {
                     return false;
-                };
-                let e = &mut self.rob[idx];
+                }
+                let slot = self.slot(seq);
+                let e = &mut self.rob[slot];
                 let Stage::Memory { ticket } = e.stage else {
                     return false;
                 };
@@ -238,7 +275,7 @@ impl Core {
                         let done_cycle = (cycle + extra.div_ceil(period_ps) + 1).max(cycle);
                         e.stage = Stage::Done { done_cycle };
                         self.outstanding_data = self.outstanding_data.saturating_sub(1);
-                        self.wake_dependents(seq, done_cycle);
+                        self.wake_dependents(slot, done_cycle);
                         false
                     }
                     None => true,
@@ -273,7 +310,7 @@ impl Core {
     /// Instructions currently in the reorder window — a telemetry-probe
     /// diagnostic for how window-limited the workload's MLP is.
     pub fn rob_occupancy(&self) -> usize {
-        self.rob.len()
+        (self.next_seq - self.head) as usize
     }
 
     pub(crate) fn activity_signature(&self) -> u64 {
@@ -312,7 +349,7 @@ impl Core {
         // First core cycle at which `mem.poll(t, cycle * period)` succeeds.
         let poll_cycle = |t: MemTicket| mem.ticket_done_ps(t).map(|done| done.div_ceil(period_ps));
         let mut next = u64::MAX;
-        let rob_full = self.rob.len() >= self.cfg.rob_entries as usize;
+        let rob_full = self.rob_occupancy() >= self.cfg.rob_entries as usize;
         // An in-order core with a load miss in flight cannot issue anything
         // until the fill is polled — the window's waiting entries are inert
         // no matter when their producers complete (the queue movements the
@@ -339,7 +376,9 @@ impl Core {
             }
         }
 
-        for (idx, e) in self.rob.iter().enumerate() {
+        for seq in self.head..self.next_seq {
+            let e = &self.rob[self.slot(seq)];
+            let idx = seq - self.head;
             match e.stage {
                 Stage::Done { done_cycle } => {
                     // Only the head commits; a non-head Done entry is inert
@@ -413,69 +452,119 @@ impl Core {
     pub(crate) fn skip_to(&mut self, from: u64, to: u64) {
         if self.ifetch_miss.is_none()
             && self.redirect_on.is_none()
-            && self.rob.len() >= self.cfg.rob_entries as usize
+            && self.rob_occupancy() >= self.cfg.rob_entries as usize
         {
             let start = from.max(self.fetch_stall_until);
             if to > start {
                 self.stats.rob_full_cycles += to - start;
             }
         }
+        // The tick at `to` schedules wakes relative to `to`: drain the
+        // skipped cycles so those wakes stay within one wheel turn.
+        if let Some(last) = to.checked_sub(1) {
+            self.drain_wheel(last);
+        }
         self.stats.cycles = to;
     }
 
-    /// Finds an in-window entry by sequence number in O(1): the ROB holds
-    /// contiguous sequence numbers (fetch pushes `next_seq` increments,
-    /// commit pops the front), so `seq` indexes directly.
+    /// The ring slot of a sequence number.
+    fn slot(&self, seq: u64) -> usize {
+        (seq & self.slot_mask) as usize
+    }
+
+    fn in_window(&self, seq: u64) -> bool {
+        (self.head..self.next_seq).contains(&seq)
+    }
+
+    /// Finds an in-window entry by sequence number.
     fn rob_entry(&self, seq: u64) -> Option<&RobEntry> {
-        let front = self.rob.front()?.seq;
-        let idx = seq.checked_sub(front)?;
-        let e = self.rob.get(idx as usize)?;
-        debug_assert_eq!(e.seq, seq, "ROB sequence numbers must be contiguous");
-        Some(e)
+        self.in_window(seq).then(|| &self.rob[self.slot(seq)])
     }
 
-    /// Index of an in-window entry by sequence number (see
-    /// [`Core::rob_entry`]).
-    fn rob_index(&self, seq: u64) -> Option<usize> {
-        let front = self.rob.front()?.seq;
-        let idx = seq.checked_sub(front)? as usize;
-        if idx < self.rob.len() {
-            debug_assert_eq!(self.rob[idx].seq, seq, "ROB seqs must be contiguous");
-            Some(idx)
-        } else {
-            None
+    /// Makes the entry at `slot` issue-eligible from `cycle`. A cycle
+    /// already drained lands in the next undrained bucket, which the next
+    /// `issue` drains — never the current issue pass.
+    fn schedule(&mut self, slot: usize, cycle: u64) {
+        let at = cycle.max(self.wheel_next);
+        debug_assert!(
+            at - self.wheel_next <= self.wheel_mask,
+            "wake at cycle {at} is past the wheel horizon"
+        );
+        let words = self.ready.len();
+        let bucket = (at & self.wheel_mask) as usize * words;
+        set_bit(&mut self.wheel[bucket..bucket + words], slot);
+    }
+
+    /// Moves every bucket up to and including cycle `through` into `ready`.
+    fn drain_wheel(&mut self, through: u64) {
+        if through < self.wheel_next {
+            return;
         }
+        // All inserts lie within one horizon of `wheel_next`, so draining
+        // more than a full turn would only revisit empty buckets.
+        let cycles = (through - self.wheel_next + 1).min(self.wheel_mask + 1);
+        let words = self.ready.len();
+        for c in self.wheel_next..self.wheel_next + cycles {
+            let bucket = (c & self.wheel_mask) as usize * words;
+            for (r, b) in self
+                .ready
+                .iter_mut()
+                .zip(&mut self.wheel[bucket..bucket + words])
+            {
+                *r |= std::mem::take(b);
+            }
+        }
+        self.wheel_next = through + 1;
     }
 
-    /// Moves a completed producer's waiting dependents into the future
-    /// queue, eligible from `done_cycle` (the cycle its result is ready).
-    fn wake_dependents(&mut self, producer_seq: u64, done_cycle: u64) {
-        if let Some(mut deps) = self.wake.remove(&producer_seq) {
-            for s in deps.drain(..) {
-                self.future.push(Reverse((done_cycle, s)));
+    /// The oldest issue-eligible entry at or after `from` (an in-window
+    /// sequence number), found by scanning the ready bits from `from`'s
+    /// slot and wrapping at the ring size.
+    fn next_ready(&self, from: u64) -> Option<u64> {
+        let words = self.ready.len();
+        let start = self.slot(from);
+        let mut w = start >> 6;
+        let mut bits = self.ready[w] & (!0u64 << (start & 63));
+        // The start word is visited twice: its high bits first, its low
+        // bits (the youngest slots) after the wrap.
+        for _ in 0..=words {
+            if bits != 0 {
+                let slot = (w << 6) | bits.trailing_zeros() as usize;
+                let seq = from + ((slot as u64).wrapping_sub(start as u64) & self.slot_mask);
+                // Bits past the window's young end wrapped around to
+                // entries older than `from`.
+                return (seq < self.next_seq).then_some(seq);
             }
-            self.wake_pool.push(deps);
+            w = (w + 1) % words;
+            bits = self.ready[w];
+        }
+        None
+    }
+
+    /// Schedules a producer's waiting dependents to become eligible at
+    /// `done_cycle` (the cycle its result is ready).
+    fn wake_dependents(&mut self, producer: usize, done_cycle: u64) {
+        let mut c = std::mem::replace(&mut self.wake_head[producer], NIL);
+        while c != NIL {
+            let next = self.wake_next[c as usize];
+            self.schedule(c as usize, done_cycle);
+            c = next;
         }
     }
 
     /// Issues up to `width` eligible instructions in sequence order.
     ///
-    /// The old implementation scanned the whole window every cycle and
-    /// re-checked each waiting entry's producer. Eligibility is now
-    /// event-driven — entries enter `ready` when dispatched with a
-    /// satisfied (or absent) dependency, or via `future`/`wake` when their
-    /// producer's completion cycle passes — and the heap yields the same
-    /// seq-order walk over exactly the entries the scan's operand check
-    /// would have passed, so issue decisions are identical.
+    /// Eligibility is event-driven: an entry's ready bit is set when it is
+    /// dispatched with a satisfied (or absent) dependency, or when the
+    /// wheel bucket of its producer's completion cycle is drained (the
+    /// producer's wake list moves it onto the wheel once that cycle is
+    /// known). Scanning the bits from the head walks exactly the entries
+    /// whose operands are ready, oldest first. Issue never sets a ready
+    /// bit (every wake it makes lands on the wheel at a later cycle), so
+    /// one forward pass sees the whole eligible set.
     fn issue(&mut self, mem: &mut MemorySystem, cycle: u64, now_ps: u64) {
         // Producers completing by this cycle unblock their dependents.
-        while let Some(&Reverse((c, seq))) = self.future.peek() {
-            if c > cycle {
-                break;
-            }
-            self.future.pop();
-            self.ready.push(Reverse(seq));
-        }
+        self.drain_wheel(cycle);
 
         let mut issued = 0;
         let width = self.cfg.width;
@@ -485,9 +574,9 @@ impl Core {
         let core_id = self.id;
 
         let mut resolved_redirect: Option<u64> = None;
-        let mut retry = std::mem::take(&mut self.retry_buf);
+        let mut from = self.head;
         while issued < width {
-            let Some(&Reverse(seq)) = self.ready.peek() else {
+            let Some(seq) = self.next_ready(from) else {
                 break;
             };
             if self.cfg.in_order {
@@ -496,17 +585,17 @@ impl Core {
                 if !self.in_flight_loads.is_empty() {
                     break;
                 }
-                // Strict program-order issue: the heap yields the oldest
+                // Strict program-order issue: the scan yields the oldest
                 // *eligible* entry, but an in-order core may not slip past
                 // an older instruction that has not issued yet.
                 if seq != self.inorder_next {
                     break;
                 }
             }
-            self.ready.pop();
-            let idx = self.rob_index(seq).expect("ready entry is in the window");
+            from = seq + 1;
+            let slot = self.slot(seq);
             let (op, addr) = {
-                let e = &self.rob[idx];
+                let e = &self.rob[slot];
                 debug_assert_eq!(e.stage, Stage::Waiting, "ready entries are waiting");
                 (e.op, e.addr)
             };
@@ -537,8 +626,7 @@ impl Core {
                                 // (The line was allocated; treat as a hit
                                 // next time — minor inaccuracy, bounded by
                                 // MSHR stalls being rare.) Stays eligible:
-                                // back into `ready` for the next cycle.
-                                retry.push(seq);
+                                // its ready bit stays set for next cycle.
                                 continue;
                             }
                             if let Some(v) = victim {
@@ -592,11 +680,12 @@ impl Core {
                     }
                 }
             };
-            self.rob[idx].stage = new_stage;
+            self.rob[slot].stage = new_stage;
+            self.ready[slot >> 6] &= !(1 << (slot & 63));
             // The entry's completion cycle is now known (unless it went to
             // memory, where the fill completion wakes dependents instead).
             if let Stage::Executing { done_cycle } = new_stage {
-                self.wake_dependents(seq, done_cycle);
+                self.wake_dependents(slot, done_cycle);
             }
             if op.is_memory() {
                 self.stats.l1d_accesses += 1;
@@ -606,10 +695,6 @@ impl Core {
             }
             issued += 1;
         }
-        for seq in retry.drain(..) {
-            self.ready.push(Reverse(seq));
-        }
-        self.retry_buf = retry;
         // Retire background store fills.
         let mut freed = 0u32;
         self.pending_stores.retain(|&t| {
@@ -642,19 +727,22 @@ impl Core {
             return;
         }
         for _ in 0..self.cfg.width {
-            if self.rob.len() >= self.cfg.rob_entries as usize {
+            if self.rob_occupancy() >= self.cfg.rob_entries as usize {
                 self.stats.rob_full_cycles += 1;
                 break;
             }
             let instr = stream.next_instr();
             // Instruction fetch: touch the L1-I at line granularity.
             let iline = SetAssocArray::<()>::align(instr.pc);
-            if let AccessOutcome::Miss { .. } = self.l1i.access(iline, false) {
-                self.stats.l1i_misses += 1;
-                let t = mem.submit(self.id, iline, MemRequestKind::IFetch, now_ps);
-                self.ifetch_miss = Some(t);
-                // The missing instruction still dispatches (it is in the
-                // fetch group that triggered the fill).
+            if self.last_iline != Some(iline) {
+                self.last_iline = Some(iline);
+                if let AccessOutcome::Miss { .. } = self.l1i.access(iline, false) {
+                    self.stats.l1i_misses += 1;
+                    let t = mem.submit(self.id, iline, MemRequestKind::IFetch, now_ps);
+                    self.ifetch_miss = Some(t);
+                    // The missing instruction still dispatches (it is in
+                    // the fetch group that triggered the fill).
+                }
             }
             let seq = self.next_seq;
             self.next_seq += 1;
@@ -678,32 +766,32 @@ impl Core {
                 instr.op
             };
             let mispredicted = matches!(op, OpClass::Branch { mispredicted: true });
-            self.rob.push_back(RobEntry {
-                seq,
+            let slot = self.slot(seq);
+            debug_assert_eq!(
+                self.wake_head[slot], NIL,
+                "a reused slot's wake list is drained"
+            );
+            self.rob[slot] = RobEntry {
                 op,
                 addr: instr.addr,
                 dep_seq,
                 is_user: instr.is_user,
                 stage: Stage::Waiting,
-            });
+            };
             // Register for issue scheduling: eligible immediately when the
             // producer is absent or already committed, at the producer's
             // completion cycle when it is known, and via the producer's
             // wake list otherwise.
-            match dep_seq {
-                None => self.ready.push(Reverse(seq)),
-                Some(d) => match self.rob_entry(d).map(|p| p.stage) {
-                    None => self.ready.push(Reverse(seq)),
-                    Some(Stage::Done { done_cycle }) | Some(Stage::Executing { done_cycle }) => {
-                        self.future.push(Reverse((done_cycle, seq)));
-                    }
-                    Some(Stage::Waiting) | Some(Stage::Memory { .. }) => {
-                        self.wake
-                            .entry(d)
-                            .or_insert_with(|| self.wake_pool.pop().unwrap_or_default())
-                            .push(seq);
-                    }
-                },
+            match dep_seq.and_then(|d| Some((d, self.rob_entry(d)?.stage))) {
+                None => set_bit(&mut self.ready, slot),
+                Some((_, Stage::Done { done_cycle } | Stage::Executing { done_cycle })) => {
+                    self.schedule(slot, done_cycle);
+                }
+                Some((d, Stage::Waiting | Stage::Memory { .. })) => {
+                    let p = self.slot(d);
+                    self.wake_next[slot] = self.wake_head[p];
+                    self.wake_head[p] = slot as u32;
+                }
             }
             self.stats.dispatched += 1;
             if mispredicted {
@@ -750,6 +838,92 @@ mod tests {
             mem.tick(now + period);
         }
         core.stats().clone()
+    }
+
+    /// An instruction's issue state, for the white-box scheduler tests.
+    fn issued(core: &Core, seq: u64) -> bool {
+        core.rob[core.slot(seq)].stage != Stage::Waiting
+    }
+
+    #[test]
+    fn oldest_ready_pick_crosses_the_slot_wrap() {
+        // One issue per cycle, and a window whose four entries straddle the
+        // ring's wrap: seqs 126..130 sit in slots 126, 127, 0, 1.
+        let cfg = CoreConfig {
+            width: 1,
+            ..CoreConfig::cortex_a57()
+        };
+        let sim = SimConfig::paper_cluster(1000.0);
+        let mut mem = MemorySystem::new(&sim);
+        let mut core = Core::new(0, cfg);
+        assert_eq!(core.slot_mask, 127);
+        core.install_l1i(0x1000);
+        core.head = 126;
+        core.next_seq = 126;
+        for c in 0..4 {
+            core.fetch(&mut AluStream, &mut mem, c, 0);
+        }
+        assert_eq!((core.head, core.next_seq), (126, 130));
+        // All four are ready; the lowest set bit (slot 0) is not the
+        // oldest, so each pick must follow sequence order instead.
+        for (cycle, seq) in (4..).zip(126..130) {
+            assert_eq!(core.next_ready(core.head), Some(seq));
+            core.issue(&mut mem, cycle, 0);
+            assert!(issued(&core, seq), "seq {seq} must issue at cycle {cycle}");
+            assert!(
+                (seq + 1..130).all(|younger| !issued(&core, younger)),
+                "a younger entry issued before seq {seq}"
+            );
+        }
+        assert_eq!(core.next_ready(core.head), None);
+    }
+
+    #[test]
+    fn consumer_wakes_at_cycle_plus_long_op_latency() {
+        // A long op followed by its consumer. The wake lands
+        // `long_op_latency` cycles out on the latency wheel: near the end
+        // of its horizon for the 32-bucket wheel of a 30-cycle latency.
+        struct LongThenConsumer(u64);
+        impl InstructionStream for LongThenConsumer {
+            fn next_instr(&mut self) -> Instr {
+                self.0 += 1;
+                match self.0 {
+                    1 => Instr {
+                        op: OpClass::IntLong,
+                        ..Instr::alu(0x1000)
+                    },
+                    2 => Instr::alu(0x1000).with_dep(1),
+                    _ => Instr::alu(0x1000),
+                }
+            }
+        }
+        for long in [5, 30] {
+            let cfg = CoreConfig {
+                long_op_latency: long,
+                ..CoreConfig::cortex_a57()
+            };
+            let sim = SimConfig::paper_cluster(1000.0);
+            let mut mem = MemorySystem::new(&sim);
+            let mut core = Core::new(0, cfg);
+            core.install_l1i(0x1000);
+            let mut stream = LongThenConsumer(0);
+            let (mut producer_at, mut consumer_at) = (None, None);
+            for c in 0..100 {
+                core.tick(&mut stream, &mut mem, c, c * 1000, 1000);
+                if producer_at.is_none() && issued(&core, 0) {
+                    producer_at = Some(c);
+                }
+                if consumer_at.is_none() && issued(&core, 1) {
+                    consumer_at = Some(c);
+                }
+            }
+            let producer_at = producer_at.expect("the long op issues");
+            assert_eq!(
+                consumer_at,
+                Some(producer_at + u64::from(long)),
+                "consumer of a {long}-cycle op"
+            );
+        }
     }
 
     #[test]

@@ -70,8 +70,8 @@ pub use bpred::{BranchPredictor, PredictorKind, SyntheticBranchBehaviour};
 pub use chip::ChipSim;
 pub use cluster::ClusterSim;
 pub use config::{
-    CacheConfig, ChipConfig, ClusterConfig, CoreConfig, DramConfigError, DramTimingConfig,
-    LlcConfig, SimConfig, SimConfigError, XbarConfig,
+    CacheConfig, CacheLevel, ChipConfig, ClusterConfig, CoreConfig, CoreParam, DramConfigError,
+    DramTimingConfig, LlcConfig, SimConfig, SimConfigError, XbarConfig,
 };
 pub use instr::{Instr, InstructionStream, OpClass};
 pub use probe::{

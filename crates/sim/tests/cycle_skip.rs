@@ -8,7 +8,9 @@
 //! warm-up/measure window boundaries.
 
 use ntc_sim::streams::{ComputeStream, PointerChaseStream, RandomAccessStream, StrideStream};
-use ntc_sim::{ChipSim, ClusterSim, Instr, InstructionStream, SimConfig, SimStats};
+use ntc_sim::{
+    ChipSim, ClusterSim, CoreConfig, Instr, InstructionStream, SimConfig, SimStats, TimeSeriesProbe,
+};
 
 /// One stream per workload class, selectable per core for the mixed case.
 enum TestStream {
@@ -46,16 +48,25 @@ fn mixed(core: u64) -> TestStream {
         0 => compute(core),
         1 => memory_bound(core),
         2 => streaming(core),
-        _ => TestStream::Chase(PointerChaseStream::new(128 << 20, 3, core)),
+        _ => chase(core),
     }
+}
+
+fn chase(core: u64) -> TestStream {
+    TestStream::Chase(PointerChaseStream::new(128 << 20, 3, core))
 }
 
 /// Runs the same cluster twice — fast path on and off — through a warm-up
 /// window and a measured window, and demands identical statistics at both
 /// observation points.
 fn assert_cluster_identical(mhz: f64, make: fn(u64) -> TestStream) {
+    assert_config_identical(SimConfig::paper_cluster(mhz), make);
+}
+
+fn assert_config_identical(config: SimConfig, make: fn(u64) -> TestStream) {
+    let mhz = config.core_mhz;
     let run = |skip: bool| -> (SimStats, SimStats) {
-        let mut sim = ClusterSim::new(SimConfig::paper_cluster(mhz), |i| make(u64::from(i)));
+        let mut sim = ClusterSim::new(config, |i| make(u64::from(i)));
         sim.set_cycle_skip(skip);
         sim.warm_up(3_000);
         let window = sim.run_measured(9_000);
@@ -99,6 +110,46 @@ fn cluster_mixed_identical_across_frequencies() {
     for mhz in [100.0, 1000.0, 2000.0] {
         assert_cluster_identical(mhz, mixed);
     }
+}
+
+#[test]
+fn little_inorder_cluster_identical_across_frequencies() {
+    // The 8-entry window is the smallest slot ring the core builds, and
+    // the little core is the only in-order issue path.
+    for mhz in [100.0, 1000.0, 2000.0] {
+        let config = SimConfig {
+            core: CoreConfig::little_inorder(),
+            ..SimConfig::paper_cluster(mhz)
+        };
+        assert_config_identical(config, mixed);
+    }
+}
+
+#[test]
+fn skips_longer_than_the_wake_horizon_are_identical() {
+    // Serial DRAM misses at 2 GHz stall each core for hundreds of cycles,
+    // so skips jump far past the A57 issue scheduler's 8-cycle latency
+    // wheel; its drain on skip must still match the naive loop.
+    let config = SimConfig::paper_cluster(2000.0);
+    assert_config_identical(config, chase);
+
+    let mut sim = ClusterSim::new(config, |i| chase(u64::from(i)));
+    let probe = TimeSeriesProbe::new();
+    let samples = probe.samples();
+    sim.attach_probe(Box::new(probe));
+    sim.run(6_000);
+    // Every skip landing is sampled, so a step in the skipped-cycle count
+    // between consecutive samples is one skip.
+    let longest = samples
+        .borrow()
+        .windows(2)
+        .map(|w| w[1].skipped_cycles - w[0].skipped_cycles)
+        .max()
+        .unwrap_or(0);
+    assert!(
+        longest > 64,
+        "expected skips well past the wheel horizon, longest was {longest} cycles"
+    );
 }
 
 #[test]
