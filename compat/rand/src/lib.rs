@@ -198,6 +198,7 @@ pub mod rngs {
     }
 
     impl RngCore for SmallRng {
+        #[inline]
         fn next_u64(&mut self) -> u64 {
             let result = self.s[0]
                 .wrapping_add(self.s[3])

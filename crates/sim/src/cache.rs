@@ -33,17 +33,15 @@ pub struct EvictedLine<P> {
     pub payload: P,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct Way<P> {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// Monotone timestamp of last touch (for LRU).
-    lru: u64,
-    payload: P,
-}
+/// The tag of an empty way. Real tags are line numbers shifted right by
+/// the set bits, so they stay below `2^58` and never collide with it.
+const EMPTY: u64 = u64::MAX;
 
 /// A set-associative array with per-line payloads.
+///
+/// Way state is kept in parallel flat vectors indexed by
+/// `set * ways + way`, so a lookup scans one set's tags as a few
+/// contiguous words.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SetAssocArray<P> {
     /// `sets - 1`: the set count is a power of two, so the set index is
@@ -52,7 +50,12 @@ pub struct SetAssocArray<P> {
     /// `log2(sets)`.
     set_bits: u32,
     ways: u32,
-    lines: Vec<Way<P>>,
+    /// Per way, the resident line's tag, or [`EMPTY`].
+    tags: Vec<u64>,
+    /// Per way, the monotone timestamp of its last touch (for LRU).
+    stamps: Vec<u64>,
+    dirty: Vec<bool>,
+    payloads: Vec<P>,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -73,16 +76,10 @@ impl<P: Default + Copy> SetAssocArray<P> {
             set_mask: sets - 1,
             set_bits: sets.trailing_zeros(),
             ways: config.ways,
-            lines: vec![
-                Way {
-                    tag: 0,
-                    valid: false,
-                    dirty: false,
-                    lru: 0,
-                    payload: P::default(),
-                };
-                total
-            ],
+            tags: vec![EMPTY; total],
+            stamps: vec![0; total],
+            dirty: vec![false; total],
+            payloads: vec![P::default(); total],
             tick: 0,
             hits: 0,
             misses: 0,
@@ -97,9 +94,20 @@ impl<P: Default + Copy> SetAssocArray<P> {
         (line_addr / LINE_BYTES) >> self.set_bits
     }
 
-    fn range(&self, set: u64) -> std::ops::Range<usize> {
-        let start = (set * u64::from(self.ways)) as usize;
-        start..start + self.ways as usize
+    /// The flat index of the first way of `set`.
+    fn base(&self, set: u64) -> usize {
+        (set * u64::from(self.ways)) as usize
+    }
+
+    /// The flat index of the way holding `line_addr`, if resident.
+    #[inline]
+    fn find(&self, line_addr: u64) -> Option<usize> {
+        let base = self.base(self.set_of(line_addr));
+        let tag = self.tag_of(line_addr);
+        self.tags[base..base + self.ways as usize]
+            .iter()
+            .position(|&t| t == tag)
+            .map(|w| base + w)
     }
 
     /// Aligns an address down to its line.
@@ -109,107 +117,84 @@ impl<P: Default + Copy> SetAssocArray<P> {
 
     /// Looks up a line without allocating or touching LRU state.
     pub fn probe(&self, line_addr: u64) -> bool {
-        let set = self.set_of(line_addr);
-        let tag = self.tag_of(line_addr);
-        self.lines[self.range(set)]
-            .iter()
-            .any(|w| w.valid && w.tag == tag)
+        self.find(line_addr).is_some()
     }
 
     /// Looks up a line, allocating it on a miss (LRU victim) and updating
     /// recency. `write` marks the line dirty.
+    #[inline]
     pub fn access(&mut self, line_addr: u64, write: bool) -> AccessOutcome<P> {
         self.tick += 1;
         let set = self.set_of(line_addr);
         let tag = self.tag_of(line_addr);
-        let range = self.range(set);
-        let tick = self.tick;
-        let set_bits = self.set_bits;
+        let base = self.base(set);
 
         // Hit path.
-        if let Some(w) = self.lines[range.clone()]
-            .iter_mut()
-            .find(|w| w.valid && w.tag == tag)
-        {
-            w.lru = tick;
+        let ways = &self.tags[base..base + self.ways as usize];
+        if let Some(w) = ways.iter().position(|&t| t == tag) {
+            let i = base + w;
+            self.stamps[i] = self.tick;
             if write {
-                w.dirty = true;
+                self.dirty[i] = true;
             }
             self.hits += 1;
             return AccessOutcome::Hit;
         }
+        self.allocate(set, tag, write)
+    }
 
+    /// The miss path of [`SetAssocArray::access`]: fills the first empty
+    /// way of `set`, else its first least recently used one.
+    fn allocate(&mut self, set: u64, tag: u64, write: bool) -> AccessOutcome<P> {
         self.misses += 1;
-        // Miss: pick an invalid way, else the LRU way.
-        let ways = &mut self.lines[range];
-        let victim_idx = ways.iter().position(|w| !w.valid).unwrap_or_else(|| {
-            ways.iter()
-                .enumerate()
-                .min_by_key(|(_, w)| w.lru)
-                .map(|(i, _)| i)
-                .expect("associativity is at least 1")
+        let base = self.base(set);
+        let ways = base..base + self.ways as usize;
+        let w = self.tags[ways.clone()]
+            .iter()
+            .position(|&t| t == EMPTY)
+            .unwrap_or_else(|| {
+                self.stamps[ways]
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|&(_, &stamp)| stamp)
+                    .map(|(w, _)| w)
+                    .expect("associativity is at least 1")
+            });
+        let i = base + w;
+        let victim = (self.tags[i] != EMPTY).then(|| EvictedLine {
+            line_addr: ((self.tags[i] << self.set_bits) | set) * LINE_BYTES,
+            dirty: self.dirty[i],
+            payload: self.payloads[i],
         });
-        let w = &mut ways[victim_idx];
-        let victim = if w.valid {
-            Some(EvictedLine {
-                line_addr: ((w.tag << set_bits) | set) * LINE_BYTES,
-                dirty: w.dirty,
-                payload: w.payload,
-            })
-        } else {
-            None
-        };
-        *w = Way {
-            tag,
-            valid: true,
-            dirty: write,
-            lru: tick,
-            payload: P::default(),
-        };
+        self.tags[i] = tag;
+        self.stamps[i] = self.tick;
+        self.dirty[i] = write;
+        self.payloads[i] = P::default();
         AccessOutcome::Miss { victim }
     }
 
     /// Mutable access to a line's payload, if present.
     pub fn payload_mut(&mut self, line_addr: u64) -> Option<&mut P> {
-        let set = self.set_of(line_addr);
-        let tag = self.tag_of(line_addr);
-        let range = self.range(set);
-        self.lines[range]
-            .iter_mut()
-            .find(|w| w.valid && w.tag == tag)
-            .map(|w| &mut w.payload)
+        self.find(line_addr).map(|i| &mut self.payloads[i])
     }
 
     /// Shared access to a line's payload, if present.
     pub fn payload(&self, line_addr: u64) -> Option<&P> {
-        let set = self.set_of(line_addr);
-        let tag = self.tag_of(line_addr);
-        self.lines[self.range(set)]
-            .iter()
-            .find(|w| w.valid && w.tag == tag)
-            .map(|w| &w.payload)
+        self.find(line_addr).map(|i| &self.payloads[i])
     }
 
     /// Invalidates a line (coherence). Returns whether it was present and
     /// dirty.
     pub fn invalidate(&mut self, line_addr: u64) -> Option<bool> {
-        let set = self.set_of(line_addr);
-        let tag = self.tag_of(line_addr);
-        let range = self.range(set);
-        self.lines[range]
-            .iter_mut()
-            .find(|w| w.valid && w.tag == tag)
-            .map(|w| {
-                w.valid = false;
-                let dirty = w.dirty;
-                w.dirty = false;
-                dirty
-            })
+        self.find(line_addr).map(|i| {
+            self.tags[i] = EMPTY;
+            std::mem::take(&mut self.dirty[i])
+        })
     }
 
     /// Number of valid lines currently resident.
     pub fn resident_lines(&self) -> usize {
-        self.lines.iter().filter(|w| w.valid).count()
+        self.tags.iter().filter(|&&t| t != EMPTY).count()
     }
 
     /// Lifetime hit count.
@@ -299,6 +284,25 @@ mod tests {
         c.access(512, false);
         c.access(768, false);
         assert!(c.payload(0).is_none() || c.payload(0) == Some(&7));
+    }
+
+    #[test]
+    fn invalidated_way_refills_before_lru_eviction() {
+        // 1 set x 4 ways: lines 0, 64, 128, 192 fill it in LRU order.
+        let mut c: SetAssocArray<()> = SetAssocArray::new(CacheConfig::new(256, 4));
+        for line in [0, 64, 128, 192] {
+            c.access(line, false);
+        }
+        assert_eq!(c.invalidate(128), Some(false));
+        // The freed middle way takes the new line; LRU line 0 survives.
+        assert_eq!(c.access(256, false), AccessOutcome::Miss { victim: None });
+        assert!(c.probe(0) && c.probe(256));
+        assert_eq!(c.resident_lines(), 4);
+        // With the set full again, the LRU way goes.
+        match c.access(320, false) {
+            AccessOutcome::Miss { victim: Some(v) } => assert_eq!(v.line_addr, 0),
+            other => panic!("expected eviction of line 0, got {other:?}"),
+        }
     }
 
     #[test]

@@ -301,7 +301,7 @@ impl<S: InstructionStream> ChipSim<S> {
     ///    arrivals ordered later can only raise), and
     /// 2. no cap passes `E + L_min`, where `E` is the earliest instant any
     ///    core on the chip could leave quiescence and submit *new* DRAM
-    ///    traffic, and `L_min` is the minimum submit→pollable latency
+    ///    traffic, and `L_min` is the minimum submit→due latency
     ///    (crossbar there and back, CAS, burst) — so in-epoch traffic
     ///    cannot produce an in-epoch-observable fill either.
     ///
@@ -328,7 +328,7 @@ impl<S: InstructionStream> ChipSim<S> {
     }
 
     /// The minimum picoseconds between a core submitting a new memory
-    /// request and any resulting fill becoming pollable: the cheapest
+    /// request and any resulting fill becoming due at a core: the cheapest
     /// crossbar hop each way plus the DRAM CAS latency and data burst.
     /// Every real path through [`MemorySystem::submit`] pays at least
     /// this (LLC bank service, queueing, precharge/activate and scheduling
@@ -369,7 +369,7 @@ impl<S: InstructionStream> ChipSim<S> {
     /// 2. `E + L_min` — the earliest instant any core could submit *new*
     ///    DRAM traffic (pending coherence invalidations count as activity
     ///    now; otherwise the per-core quiescence probe bounds it) plus the
-    ///    minimum submit-to-pollable latency — covers fills of reads
+    ///    minimum submit-to-due latency — covers fills of reads
     ///    submitted *during* the epoch.
     ///
     /// When some cluster already sits at or past the frontier

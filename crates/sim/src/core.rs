@@ -21,7 +21,7 @@ use crate::bpred::{BranchPredictor, SyntheticBranchBehaviour};
 use crate::cache::{AccessOutcome, SetAssocArray};
 use crate::config::CoreConfig;
 use crate::instr::{InstructionStream, OpClass};
-use crate::memsys::{MemRequestKind, MemTicket, MemorySystem};
+use crate::memsys::{MemRequestKind, MemorySystem};
 use crate::stats::CoreStats;
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -39,7 +39,7 @@ enum Stage {
     /// between the two).
     Executing { done_cycle: u64 },
     /// Waiting for a memory fill.
-    Memory { ticket: MemTicket },
+    Memory,
     /// Result available at the given cycle; commit when it reaches the head.
     Done { done_cycle: u64 },
 }
@@ -55,6 +55,57 @@ struct RobEntry {
 
 /// End of an intrusive wake list.
 const NIL: u32 = u32::MAX;
+
+/// Owner tag of a background store fill's completion. A load's owner is
+/// its sequence number, which never reaches these tags.
+const STORE_OWNER: u64 = u64::MAX;
+
+/// Owner tag of an instruction-fetch fill's completion.
+const IFETCH_OWNER: u64 = u64::MAX - 1;
+
+/// Memory completions drained from the uncore whose data has not reached
+/// the core yet, with the earliest arrival cached.
+#[derive(Debug)]
+struct DueList {
+    /// `(done_ps, owner)` pairs.
+    entries: Vec<(u64, u64)>,
+    /// The smallest `done_ps` in `entries`; `u64::MAX` when empty.
+    min_ps: u64,
+}
+
+impl Default for DueList {
+    fn default() -> Self {
+        DueList {
+            entries: Vec::new(),
+            min_ps: u64::MAX,
+        }
+    }
+}
+
+impl DueList {
+    fn push(&mut self, done_ps: u64, owner: u64) {
+        self.entries.push((done_ps, owner));
+        self.min_ps = self.min_ps.min(done_ps);
+    }
+
+    /// Removes every entry due by `now_ps`, passing its owner to `f`.
+    fn take_due(&mut self, now_ps: u64, mut f: impl FnMut(u64)) {
+        if self.min_ps > now_ps {
+            return;
+        }
+        let mut min_ps = u64::MAX;
+        self.entries.retain(|&(done_ps, owner)| {
+            if done_ps <= now_ps {
+                f(owner);
+                false
+            } else {
+                min_ps = min_ps.min(done_ps);
+                true
+            }
+        });
+        self.min_ps = min_ps;
+    }
+}
 
 fn set_bit(words: &mut [u64], slot: usize) {
     words[slot >> 6] |= 1 << (slot & 63);
@@ -89,15 +140,20 @@ pub struct Core {
     next_seq: u64,
     /// Fetch is stalled until this cycle (branch redirect).
     fetch_stall_until: u64,
-    /// Fetch is blocked on this instruction-fetch miss.
-    ifetch_miss: Option<MemTicket>,
+    /// Fetch is blocked on an instruction-fetch miss.
+    ifetch_miss: bool,
     /// Branch whose resolution will restart fetch.
     redirect_on: Option<u64>,
     /// Outstanding data misses (MSHR occupancy).
     outstanding_data: u32,
-    /// Sequence numbers of ROB entries in [`Stage::Memory`], so completion
-    /// polling touches only in-flight loads instead of scanning the window.
-    in_flight_loads: Vec<u64>,
+    /// ROB entries in [`Stage::Memory`].
+    loads_in_flight: u32,
+    /// Load and I-fetch completions drained from the uncore, owned by the
+    /// load's sequence number or [`IFETCH_OWNER`].
+    due: DueList,
+    /// Background store (read-for-ownership) completions drained from the
+    /// uncore.
+    due_stores: DueList,
     /// Issue-eligible [`Stage::Waiting`] entries (producer ready or no
     /// dependency), one bit per slot. Scanning from the head's slot yields
     /// them oldest first — the same pick as the old full-window scan.
@@ -106,7 +162,7 @@ pub struct Core {
     /// cycle `c` waits in bucket `c & wheel_mask` (a slot bitset of
     /// `ready.len()` words) until cycle `c` is drained into `ready`. Every
     /// insert lands within the horizon: the latest known completion is
-    /// `max(long_op_latency, l1_latency)` cycles out, and a polled fill
+    /// `max(long_op_latency, l1_latency)` cycles out, and a completed fill
     /// wakes its consumers the next cycle.
     wheel: Vec<u64>,
     /// Bucket count minus one.
@@ -119,8 +175,6 @@ pub struct Core {
     wake_head: Vec<u32>,
     /// Per slot, the next consumer on the same wake list.
     wake_next: Vec<u32>,
-    /// Background store (read-for-ownership) fills in flight.
-    pending_stores: Vec<MemTicket>,
     /// Sequence number of the next instruction to issue under the
     /// in-order discipline ([`CoreConfig::in_order`]); unused (stays 0 or
     /// trails) on out-of-order cores.
@@ -155,17 +209,18 @@ impl Core {
             head: 0,
             next_seq: 0,
             fetch_stall_until: 0,
-            ifetch_miss: None,
+            ifetch_miss: false,
             redirect_on: None,
             outstanding_data: 0,
-            in_flight_loads: Vec::new(),
+            loads_in_flight: 0,
+            due: DueList::default(),
+            due_stores: DueList::default(),
             ready: vec![0; words],
             wheel: vec![0; buckets * words],
             wheel_mask: buckets as u64 - 1,
             wheel_next: 0,
             wake_head: vec![NIL; slots],
             wake_next: vec![NIL; slots],
-            pending_stores: Vec::new(),
             inorder_next: 0,
             bpred: cfg
                 .branch_predictor
@@ -211,18 +266,17 @@ impl Core {
 
     /// Runs one core cycle: commit → complete → issue → fetch/dispatch.
     ///
-    /// `cycle` is the core-clock cycle index; `now_ps` its absolute time;
-    /// `period_ps` the current clock period.
+    /// `cycle` is the core-clock cycle index and `now_ps` its absolute
+    /// time.
     pub fn tick<S: InstructionStream>(
         &mut self,
         stream: &mut S,
         mem: &mut MemorySystem,
         cycle: u64,
         now_ps: u64,
-        period_ps: u64,
     ) {
         self.commit(cycle);
-        self.complete_memory(mem, cycle, now_ps, period_ps);
+        self.complete_memory(mem, cycle, now_ps);
         self.issue(mem, cycle, now_ps);
         self.fetch(stream, mem, cycle, now_ps);
         self.stats.cycles = cycle + 1;
@@ -254,43 +308,45 @@ impl Core {
         }
     }
 
-    fn complete_memory(&mut self, mem: &mut MemorySystem, cycle: u64, now_ps: u64, period_ps: u64) {
-        // Poll only the loads actually in flight (no window scan; stale
-        // `Executing` stages are interpreted lazily — see [`Stage`]).
-        if !self.in_flight_loads.is_empty() {
-            let mut loads = std::mem::take(&mut self.in_flight_loads);
-            loads.retain(|&seq| {
-                if !self.in_window(seq) {
-                    return false;
-                }
-                let slot = self.slot(seq);
-                let e = &mut self.rob[slot];
-                let Stage::Memory { ticket } = e.stage else {
-                    return false;
-                };
-                match mem.poll(ticket, now_ps) {
-                    Some(done_ps) => {
-                        // Convert to core cycles (round up to the next edge).
-                        let extra = done_ps.saturating_sub(now_ps);
-                        let done_cycle = (cycle + extra.div_ceil(period_ps) + 1).max(cycle);
-                        e.stage = Stage::Done { done_cycle };
-                        self.outstanding_data = self.outstanding_data.saturating_sub(1);
-                        self.wake_dependents(slot, done_cycle);
-                        false
-                    }
-                    None => true,
-                }
-            });
-            self.in_flight_loads = loads;
+    /// Moves the uncore's resolved completions for this core into the due
+    /// lists.
+    fn collect_completions(&mut self, mem: &mut MemorySystem) {
+        if mem.pending_completions(self.id).is_empty() {
+            return;
         }
-        // Restart fetch after an I-miss fill.
-        if let Some(t) = self.ifetch_miss {
-            if let Some(done_ps) = mem.poll(t, now_ps) {
-                let extra = done_ps.saturating_sub(now_ps);
-                self.fetch_stall_until = cycle + extra.div_ceil(period_ps) + 1;
-                self.ifetch_miss = None;
+        for (done_ps, owner) in mem.drain_completions(self.id) {
+            if owner == STORE_OWNER {
+                self.due_stores.push(done_ps, owner);
+            } else {
+                self.due.push(done_ps, owner);
             }
         }
+    }
+
+    /// Completes the loads and the I-fetch whose data has arrived by
+    /// `now_ps`: their results (and the restarted front end) are usable
+    /// from the next cycle.
+    fn complete_memory(&mut self, mem: &mut MemorySystem, cycle: u64, now_ps: u64) {
+        self.collect_completions(mem);
+        if self.due.min_ps > now_ps {
+            return;
+        }
+        let mut due = std::mem::take(&mut self.due);
+        due.take_due(now_ps, |owner| {
+            if owner == IFETCH_OWNER {
+                self.fetch_stall_until = cycle + 1;
+                self.ifetch_miss = false;
+                return;
+            }
+            let slot = self.slot(owner);
+            debug_assert!(self.in_window(owner) && self.rob[slot].stage == Stage::Memory);
+            let done_cycle = cycle + 1;
+            self.rob[slot].stage = Stage::Done { done_cycle };
+            self.outstanding_data -= 1;
+            self.loads_in_flight -= 1;
+            self.wake_dependents(slot, done_cycle);
+        });
+        self.due = due;
     }
 
     /// A cheap progress fingerprint: the sum of the monotonic work
@@ -330,14 +386,14 @@ impl Core {
     ///
     /// Returns `None` if the core is **active**: some pipeline stage would
     /// change architectural or timing state this cycle (commit, a memory
-    /// fill becoming pollable, an issueable instruction, dispatch).
+    /// fill arriving, an issueable instruction, dispatch).
     /// Returns `Some(c)` with `c > cycle` if every tick strictly before `c`
     /// is a no-op apart from the per-tick statistics that
     /// [`Core::skip_to`] compensates (`stats.cycles`, and
     /// `rob_full_cycles` while fetch is unblocked with a full window).
-    /// Events the uncore owns (requests still waiting on DRAM scheduling)
-    /// are *not* counted here — the caller must bound the skip by
-    /// [`MemorySystem::next_fill_wake_ps`].
+    /// Events the uncore owns (requests still waiting on DRAM scheduling,
+    /// hence with no completion pushed yet) are *not* counted here — the
+    /// caller must bound the skip by [`MemorySystem::next_fill_wake_ps`].
     ///
     /// `Some(u64::MAX)` means no core-side event is scheduled at all.
     pub(crate) fn quiescent_until(
@@ -346,34 +402,36 @@ impl Core {
         cycle: u64,
         period_ps: u64,
     ) -> Option<u64> {
-        // First core cycle at which `mem.poll(t, cycle * period)` succeeds.
-        let poll_cycle = |t: MemTicket| mem.ticket_done_ps(t).map(|done| done.div_ceil(period_ps));
         let mut next = u64::MAX;
+        // Every known memory completion (a load, a store or the I-fetch)
+        // acts at the first cycle starting at or after its arrival.
+        let known_ps = mem.pending_completions(self.id).iter().fold(
+            self.due.min_ps.min(self.due_stores.min_ps),
+            |m, &(done, _)| m.min(done),
+        );
+        if known_ps != u64::MAX {
+            let c = known_ps.div_ceil(period_ps);
+            if c <= cycle {
+                return None;
+            }
+            next = c;
+        }
         let rob_full = self.rob_occupancy() >= self.cfg.rob_entries as usize;
         // An in-order core with a load miss in flight cannot issue anything
-        // until the fill is polled — the window's waiting entries are inert
+        // until the fill completes — the window's waiting entries are inert
         // no matter when their producers complete (the queue movements the
         // skipped ticks would have made are lazy and replayed identically
         // on resume).
-        let blocked_inorder = self.cfg.in_order && !self.in_flight_loads.is_empty();
+        let blocked_inorder = self.cfg.in_order && self.loads_in_flight > 0;
 
         // Fetch: an unblocked front end with window space dispatches every
         // cycle. (Unblocked with a full window only increments
         // `rob_full_cycles`, which `skip_to` batch-applies.)
-        if self.ifetch_miss.is_none() && self.redirect_on.is_none() && !rob_full {
+        if !self.ifetch_miss && self.redirect_on.is_none() && !rob_full {
             if cycle >= self.fetch_stall_until {
                 return None;
             }
             next = next.min(self.fetch_stall_until);
-        }
-
-        // An I-fetch fill restarts the front end when it becomes pollable.
-        if let Some(t) = self.ifetch_miss {
-            match poll_cycle(t) {
-                Some(c) if c <= cycle => return None,
-                Some(c) => next = next.min(c),
-                None => {} // still queued in DRAM: uncore bound applies
-            }
         }
 
         for seq in self.head..self.next_seq {
@@ -401,15 +459,13 @@ impl Core {
                         return None;
                     }
                 }
-                Stage::Memory { ticket } => match poll_cycle(ticket) {
-                    Some(c) if c <= cycle => return None,
-                    Some(c) => next = next.min(c),
-                    None => {} // still queued in DRAM: uncore bound applies
-                },
+                // Its completion is among the known ones above, or still
+                // queued in DRAM (the uncore bound applies).
+                Stage::Memory => {}
                 Stage::Waiting => {
                     // A blocking load gates issue entirely: waiting entries
-                    // cannot act until its fill is polled, which the Memory
-                    // arm (or the uncore fill-wake bound) schedules.
+                    // cannot act until its fill completes, which the known
+                    // completions (or the uncore fill-wake bound) schedule.
                     if blocked_inorder {
                         continue;
                     }
@@ -431,15 +487,6 @@ impl Core {
             }
         }
 
-        // Background store fills release MSHRs when polled.
-        for &t in &self.pending_stores {
-            match poll_cycle(t) {
-                Some(c) if c <= cycle => return None,
-                Some(c) => next = next.min(c),
-                None => {}
-            }
-        }
-
         Some(next)
     }
 
@@ -450,7 +497,7 @@ impl Core {
     /// unblocked fetch would have found the window full. Only legal when
     /// [`Core::quiescent_until`] returned `Some(c)` with `to <= c`.
     pub(crate) fn skip_to(&mut self, from: u64, to: u64) {
-        if self.ifetch_miss.is_none()
+        if !self.ifetch_miss
             && self.redirect_on.is_none()
             && self.rob_occupancy() >= self.cfg.rob_entries as usize
         {
@@ -543,6 +590,7 @@ impl Core {
 
     /// Schedules a producer's waiting dependents to become eligible at
     /// `done_cycle` (the cycle its result is ready).
+    #[inline]
     fn wake_dependents(&mut self, producer: usize, done_cycle: u64) {
         let mut c = std::mem::replace(&mut self.wake_head[producer], NIL);
         while c != NIL {
@@ -582,7 +630,7 @@ impl Core {
             if self.cfg.in_order {
                 // Blocking loads: an outstanding load miss stalls issue
                 // entirely (no miss-under-miss).
-                if !self.in_flight_loads.is_empty() {
+                if self.loads_in_flight > 0 {
                     break;
                 }
                 // Strict program-order issue: the scan yields the oldest
@@ -637,8 +685,8 @@ impl Core {
                             }
                             self.stats.l1d_misses += 1;
                             self.outstanding_data += 1;
-                            self.in_flight_loads.push(seq);
-                            let t = mem.submit(core_id, line, MemRequestKind::Load, now_ps);
+                            self.loads_in_flight += 1;
+                            mem.submit(core_id, line, MemRequestKind::Load, seq, now_ps);
                             for d in 1..=self.cfg.prefetch_degree {
                                 mem.submit_prefetch(
                                     core_id,
@@ -646,7 +694,7 @@ impl Core {
                                     now_ps,
                                 );
                             }
-                            Stage::Memory { ticket: t }
+                            Stage::Memory
                         }
                     }
                 }
@@ -670,8 +718,13 @@ impl Core {
                             // bandwidth and an MSHR if available.
                             if self.outstanding_data < mshrs {
                                 self.outstanding_data += 1;
-                                let t = mem.submit(core_id, line, MemRequestKind::Store, now_ps);
-                                self.pending_stores.push(t);
+                                mem.submit(
+                                    core_id,
+                                    line,
+                                    MemRequestKind::Store,
+                                    STORE_OWNER,
+                                    now_ps,
+                                );
                             }
                             Stage::Executing {
                                 done_cycle: cycle + 1,
@@ -695,17 +748,12 @@ impl Core {
             }
             issued += 1;
         }
-        // Retire background store fills.
+        // Retire background store fills, including any LLC hit submitted
+        // above.
+        self.collect_completions(mem);
         let mut freed = 0u32;
-        self.pending_stores.retain(|&t| {
-            if mem.poll(t, now_ps).is_some() {
-                freed += 1;
-                false
-            } else {
-                true
-            }
-        });
-        self.outstanding_data = self.outstanding_data.saturating_sub(freed);
+        self.due_stores.take_due(now_ps, |_| freed += 1);
+        self.outstanding_data -= freed;
         if let Some(resolve_cycle) = resolved_redirect {
             self.fetch_stall_until = resolve_cycle + u64::from(self.cfg.branch_penalty);
             self.redirect_on = None;
@@ -720,10 +768,7 @@ impl Core {
         cycle: u64,
         now_ps: u64,
     ) {
-        if self.ifetch_miss.is_some()
-            || self.redirect_on.is_some()
-            || cycle < self.fetch_stall_until
-        {
+        if self.ifetch_miss || self.redirect_on.is_some() || cycle < self.fetch_stall_until {
             return;
         }
         for _ in 0..self.cfg.width {
@@ -738,8 +783,8 @@ impl Core {
                 self.last_iline = Some(iline);
                 if let AccessOutcome::Miss { .. } = self.l1i.access(iline, false) {
                     self.stats.l1i_misses += 1;
-                    let t = mem.submit(self.id, iline, MemRequestKind::IFetch, now_ps);
-                    self.ifetch_miss = Some(t);
+                    mem.submit(self.id, iline, MemRequestKind::IFetch, IFETCH_OWNER, now_ps);
+                    self.ifetch_miss = true;
                     // The missing instruction still dispatches (it is in
                     // the fetch group that triggered the fill).
                 }
@@ -787,7 +832,7 @@ impl Core {
                 Some((_, Stage::Done { done_cycle } | Stage::Executing { done_cycle })) => {
                     self.schedule(slot, done_cycle);
                 }
-                Some((d, Stage::Waiting | Stage::Memory { .. })) => {
+                Some((d, Stage::Waiting | Stage::Memory)) => {
                     let p = self.slot(d);
                     self.wake_next[slot] = self.wake_head[p];
                     self.wake_head[p] = slot as u32;
@@ -800,7 +845,7 @@ impl Core {
                 self.redirect_on = Some(seq);
                 break;
             }
-            if self.ifetch_miss.is_some() {
+            if self.ifetch_miss {
                 break;
             }
         }
@@ -834,7 +879,7 @@ mod tests {
         let period = cfg.core_period_ps();
         for c in 0..cycles {
             let now = c * period;
-            core.tick(stream, &mut mem, c, now, period);
+            core.tick(stream, &mut mem, c, now);
             mem.tick(now + period);
         }
         core.stats().clone()
@@ -879,6 +924,52 @@ mod tests {
     }
 
     #[test]
+    fn load_completes_at_the_first_cycle_starting_after_its_data() {
+        // One LLC-hit load, then ALU ops, at a clock whose period does not
+        // divide the hit latency.
+        struct OneLoad(u64);
+        impl InstructionStream for OneLoad {
+            fn next_instr(&mut self) -> Instr {
+                self.0 += 1;
+                if self.0 == 1 {
+                    Instr::load(0x1000, 0x40_0000)
+                } else {
+                    Instr::alu(0x1000)
+                }
+            }
+        }
+        let sim = SimConfig::paper_cluster(700.0);
+        let period = sim.core_period_ps();
+        let mut mem = MemorySystem::new(&sim);
+        mem.install_llc(0x40_0000, 0);
+        let mut core = Core::new(0, sim.core);
+        core.install_l1i(0x1000);
+        let mut stream = OneLoad(0);
+        let mut done_ps = None;
+        for c in 0..200 {
+            core.tick(&mut stream, &mut mem, c, c * period);
+            let stage = core.rob[core.slot(0)].stage;
+            match (done_ps, stage) {
+                // The hit resolves at submit and is collected the same cycle.
+                (None, Stage::Memory) => {
+                    assert!(mem.pending_completions(0).is_empty());
+                    done_ps = Some(core.due.entries[0].0);
+                    assert!(done_ps.unwrap() > c * period);
+                }
+                (Some(done), Stage::Memory) => assert!(c * period < done, "late at cycle {c}"),
+                (Some(done), Stage::Done { done_cycle }) => {
+                    assert!(c * period >= done && (c - 1) * period < done);
+                    assert_eq!(done_cycle, c + 1);
+                    assert_eq!(core.loads_in_flight, 0);
+                    return;
+                }
+                _ => {}
+            }
+        }
+        panic!("the load never completed");
+    }
+
+    #[test]
     fn consumer_wakes_at_cycle_plus_long_op_latency() {
         // A long op followed by its consumer. The wake lands
         // `long_op_latency` cycles out on the latency wheel: near the end
@@ -909,7 +1000,7 @@ mod tests {
             let mut stream = LongThenConsumer(0);
             let (mut producer_at, mut consumer_at) = (None, None);
             for c in 0..100 {
-                core.tick(&mut stream, &mut mem, c, c * 1000, 1000);
+                core.tick(&mut stream, &mut mem, c, c * 1000);
                 if producer_at.is_none() && issued(&core, 0) {
                     producer_at = Some(c);
                 }
@@ -1040,7 +1131,7 @@ mod tests {
             let period = cfg.core_period_ps();
             for c in 0..5000u64 {
                 let now = c * period;
-                core.tick(&mut s, &mut mem, c, now, period);
+                core.tick(&mut s, &mut mem, c, now);
                 mem.tick(now + period);
             }
             core.stats().ipc()

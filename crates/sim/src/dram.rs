@@ -759,12 +759,12 @@ impl DramSystem {
     /// A read that has *issued* leaves the queues — and therefore the
     /// [`DramSystem::next_read_completion_ps`] bound — the moment its data
     /// return time is decided, even when that time is still in the future.
-    /// Until the owner's memory system drains the completion, the fill is
-    /// invisible to its ticket state too, so the cycle-skip fill-wake bound
+    /// Until the owner's memory system drains the completion, no core has
+    /// been told of the fill either, so the cycle-skip fill-wake bound
     /// must take this buffer into account: on a heterogeneous chip another
     /// cluster's ticks advance the shared scheduler between this owner's
     /// drains, and a skip computed without this term can jump past the
-    /// fill's poll cycle.
+    /// fill's completion cycle.
     pub fn next_undrained_completion_ps(&self, owner: u32) -> Option<u64> {
         self.completed
             .get(owner as usize)

@@ -28,11 +28,11 @@
 //! target cycle is legal only when *all* of the following hold, which the
 //! probe establishes:
 //!
-//! * every core is quiescent — no commit, issue, dispatch, or pollable
-//!   memory fill strictly before the target (ready-to-issue instructions,
+//! * every core is quiescent — no commit, issue, dispatch, or due memory
+//!   completion strictly before the target (ready-to-issue instructions,
 //!   including MSHR-blocked ones, count as activity);
 //! * no coherence invalidations are pending delivery to L1s;
-//! * no queued DRAM command's *fill* can be polled before the target
+//! * no queued DRAM command's *fill* can reach a core before the target
 //!   ([`MemorySystem::next_fill_wake_ps`]: earliest possible issue plus
 //!   the minimum read turnaround). Commands may still *issue* inside the
 //!   window — the skip replays the uncore's per-cycle `tick` boundaries
@@ -601,9 +601,10 @@ fn skip<S: InstructionStream>(
         // Even when no command can issue inside the window, a completion
         // already recorded at the shared DRAM (issued by another lane's
         // tick) is only delivered to this lane at its own `tick`. The
-        // landing cycle's cores poll *before* its memory tick, so catch
-        // each lane's drains up to the landing boundary first — exactly
-        // the boundaries the naive loop would have ticked by then.
+        // landing cycle's cores consume completions *before* its memory
+        // tick, so catch each lane's drains up to the landing boundary
+        // first — exactly the boundaries the naive loop would have ticked
+        // by then.
         for lane in lanes.iter_mut() {
             lane.mem.tick(until);
         }
@@ -675,14 +676,14 @@ fn begin_skip<S: InstructionStream>(
         // Even a fully elided lane still owes its *landing* boundary a
         // memory tick: completions sitting undrained at the shared DRAM
         // are delivered only by this lane's own `tick`, and the landing
-        // cycle's cores poll before that tick runs. The landing boundary
-        // must also order correctly against *other* lanes' post-landing
-        // core ticks with earlier keys (a faster lane's landing tick can
-        // enqueue a request that the naive loop pops at this lane's next
-        // boundary) — so it is never ticked eagerly here; both modes
-        // stream their boundaries through the main loop, an elided lane
-        // just enters it at `to - 1` (one boundary) instead of at its
-        // current cycle (all of them).
+        // cycle's cores consume completions before that tick runs. The
+        // landing boundary must also order correctly against *other*
+        // lanes' post-landing core ticks with earlier keys (a faster
+        // lane's landing tick can enqueue a request that the naive loop
+        // pops at this lane's next boundary) — so it is never ticked
+        // eagerly here; both modes stream their boundaries through the
+        // main loop, an elided lane just enters it at `to - 1` (one
+        // boundary) instead of at its current cycle (all of them).
         lane.cycle = if elide { to - 1 } else { lane.cycle };
         replay[i] = to;
         replaying += 1;
@@ -707,7 +708,7 @@ fn tick_lane<S: InstructionStream>(
     period_ps: u64,
 ) {
     for (core, stream) in lane.cores.iter_mut().zip(lane.streams.iter_mut()) {
-        core.tick(stream, lane.mem, cycle, now, period_ps);
+        core.tick(stream, lane.mem, cycle, now);
     }
     lane.mem.tick(now + period_ps);
     lane.mem.drain_invalidations_into(inv_buf);
@@ -741,8 +742,8 @@ fn next_event_cycle<S: InstructionStream>(
         }
         // Queued DRAM commands may issue inside a skipped window (the
         // skip replays the uncore's cycle boundaries), but no fill can be
-        // *polled* before the fill-wake bound; the first cycle whose poll
-        // could see it caps the skip.
+        // *due* at a core before the fill-wake bound; the first cycle that
+        // could consume it caps the skip.
         if let Some(wake_ps) = lane.mem.next_fill_wake_ps() {
             let c = wake_ps.div_ceil(period_ps);
             if c <= cycle {
@@ -763,8 +764,8 @@ fn next_event_cycle<S: InstructionStream>(
 /// nothing is scheduled at all). Multi-clock variant of
 /// [`next_event_cycle`]: each lane's bounds are converted to absolute
 /// time on its own clock before being combined. Finished lanes are
-/// ignored — their cores are frozen and their fills are never polled
-/// again.
+/// ignored — their cores are frozen and never consume another
+/// completion.
 fn next_event_ps<S: InstructionStream>(lanes: &[Lane<'_, S>]) -> Option<u64> {
     let mut next = u64::MAX;
     for lane in lanes.iter() {

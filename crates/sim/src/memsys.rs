@@ -2,10 +2,10 @@
 //!
 //! A core's L1 miss traverses the crossbar, queues at an LLC bank, and on an
 //! LLC miss descends into the DDR4 system; the fill returns over the
-//! crossbar. [`MemorySystem`] owns the crossbar, LLC and DRAM models, tracks
-//! outstanding requests by ticket, merges requests to the same line
-//! (MSHR-style), and surfaces the coherence invalidations the cluster must
-//! apply to L1s.
+//! crossbar. [`MemorySystem`] owns the crossbar, LLC and DRAM models, merges
+//! requests to the same line (MSHR-style), pushes each demand request's
+//! completion time to its core once it is known, and surfaces the coherence
+//! invalidations the cluster must apply to L1s.
 
 use crate::cache::SetAssocArray;
 use crate::config::{ClusterConfig, SimConfig};
@@ -24,9 +24,6 @@ use std::sync::{Arc, Mutex};
 /// barrier replay).
 pub type SharedDram = Arc<Mutex<DramSystem>>;
 
-/// Ticket identifying an outstanding memory request.
-pub type MemTicket = u64;
-
 /// Why a request entered the memory system (for statistics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum MemRequestKind {
@@ -40,18 +37,9 @@ pub enum MemRequestKind {
     Prefetch,
 }
 
-#[derive(Debug, Clone, Copy)]
-enum ReqState {
-    /// Waiting on a DRAM fill (resolved through the by-line index).
-    InDram,
-    /// Done at the given picosecond.
-    Done(u64),
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Request {
-    state: ReqState,
-}
+/// A demand request waiting on a line fill: the requesting core and the
+/// owner tag its completion carries back.
+type Waiter = (u32, u64);
 
 /// One DRAM operation a *detached* cluster recorded instead of applying
 /// (see [`MemorySystem::detach_dram`]). The chip's epoch barrier replays
@@ -80,7 +68,7 @@ struct DetachedDram {
     /// The cluster's clock period — turns a submit's `now_ps` into the
     /// tick-boundary key it orders against.
     period_ps: u64,
-    /// The epoch horizon in ps. No outstanding fill can become pollable
+    /// The epoch horizon in ps. No outstanding fill can reach a core
     /// before it (that is what made the epoch legal), so it doubles as a
     /// conservative stand-in for the fill-wake bound while detached.
     horizon_ps: u64,
@@ -96,17 +84,19 @@ pub struct MemorySystem {
     /// This cluster's owner id on the shared DRAM.
     dram_owner: u32,
     xbar_return_ps: u64,
-    requests: FxHashMap<MemTicket, Request>,
-    /// Outstanding line fills: later requests to the same line merge.
-    by_line: FxHashMap<u64, Vec<MemTicket>>,
+    /// Outstanding line fills and their waiters: later requests to the
+    /// same line merge.
+    by_line: FxHashMap<u64, Vec<Waiter>>,
     dram_to_line: FxHashMap<DramTicket, u64>,
-    next_ticket: MemTicket,
+    /// Per core, resolved completions `(done_ps, owner)` the core has not
+    /// drained yet (see [`MemorySystem::submit`]).
+    completions: Vec<Vec<(u64, u64)>>,
     prefetches: u64,
     /// Reused per-tick DRAM completion buffer (allocation-free drain).
     completion_buf: Vec<(DramTicket, u64)>,
     /// Recycled waiter lists for `by_line` (a fill completes → its list
     /// returns here → the next miss reuses it).
-    waiter_pool: Vec<Vec<MemTicket>>,
+    waiter_pool: Vec<Vec<Waiter>>,
     /// `Some` while this cluster runs inside a parallel epoch: DRAM calls
     /// are recorded, not applied (see [`MemorySystem::detach_dram`]).
     detached: Option<DetachedDram>,
@@ -134,10 +124,9 @@ impl MemorySystem {
             dram,
             dram_owner,
             xbar_return_ps: cluster.xbar.traversal_ps,
-            requests: FxHashMap::default(),
             by_line: FxHashMap::default(),
             dram_to_line: FxHashMap::default(),
-            next_ticket: 1,
+            completions: vec![Vec::new(); cluster.cores as usize],
             prefetches: 0,
             completion_buf: Vec::new(),
             waiter_pool: Vec::new(),
@@ -149,7 +138,7 @@ impl MemorySystem {
     /// until [`MemorySystem::reattach_dram`], every DRAM mutation this
     /// uncore would perform is recorded as a [`DeferredDramOp`] instead,
     /// and the probe bounds answer from `horizon_ps` (the epoch's legality
-    /// guarantee: no outstanding fill becomes pollable before it, so the
+    /// guarantee: no outstanding fill reaches a core before it, so the
     /// horizon is a valid — and maximal — fill-wake stand-in).
     ///
     /// While detached the cluster's cores, L1s, crossbar and LLC evolve
@@ -231,35 +220,33 @@ impl MemorySystem {
     }
 
     /// A waiter list for a new outstanding fill, recycled when possible.
-    fn new_waiters(&mut self) -> Vec<MemTicket> {
+    fn new_waiters(&mut self) -> Vec<Waiter> {
         self.waiter_pool.pop().unwrap_or_default()
     }
 
-    /// Submits an L1 miss for `core` at absolute time `now_ps`.
+    /// Submits an L1 miss for `core` at absolute time `now_ps`, on behalf
+    /// of `owner` (a tag the core chooses).
     ///
-    /// Returns a ticket to poll with [`MemorySystem::poll`]. Requests to a
-    /// line already being filled merge onto the outstanding fill.
+    /// Once the data's arrival time at the core is known, `(done_ps,
+    /// owner)` is appended to the core's completion queue: here for an
+    /// LLC hit, and at the [`MemorySystem::tick`] that drains the DRAM
+    /// fill otherwise.
+    /// Requests to a line already being filled merge onto the outstanding
+    /// fill and complete with it.
     pub fn submit(
         &mut self,
         core: u32,
         line_addr: u64,
         kind: MemRequestKind,
+        owner: u64,
         now_ps: u64,
-    ) -> MemTicket {
+    ) {
         let line_addr = SetAssocArray::<()>::align(line_addr);
-        let ticket = self.next_ticket;
-        self.next_ticket += 1;
 
         // MSHR merge: the line is already on its way.
         if let Some(waiters) = self.by_line.get_mut(&line_addr) {
-            waiters.push(ticket);
-            self.requests.insert(
-                ticket,
-                Request {
-                    state: ReqState::InDram,
-                },
-            );
-            return ticket;
+            waiters.push((core, owner));
+            return;
         }
 
         let write = matches!(kind, MemRequestKind::Store);
@@ -269,17 +256,29 @@ impl MemorySystem {
         if let Some(victim) = access.writeback {
             self.dram_write(victim, access.ready_ps, key, false);
         }
-        let state = if access.hit {
-            ReqState::Done(access.ready_ps + self.xbar_return_ps)
+        if access.hit {
+            self.completions[core as usize].push((access.ready_ps + self.xbar_return_ps, owner));
         } else {
             self.dram_read(line_addr, access.ready_ps, key);
             let mut waiters = self.new_waiters();
-            waiters.push(ticket);
+            waiters.push((core, owner));
             self.by_line.insert(line_addr, waiters);
-            ReqState::InDram
-        };
-        self.requests.insert(ticket, Request { state });
-        ticket
+        }
+    }
+
+    /// Removes and yields `core`'s resolved completions `(done_ps, owner)`
+    /// in the order they resolved. `done_ps` may lie in the future: the
+    /// data reaches the core at the first cycle starting at or after it.
+    #[inline]
+    pub(crate) fn drain_completions(&mut self, core: u32) -> std::vec::Drain<'_, (u64, u64)> {
+        self.completions[core as usize].drain(..)
+    }
+
+    /// `core`'s resolved completions not yet drained (the cycle-skip
+    /// probe's view; never mutates).
+    #[inline]
+    pub(crate) fn pending_completions(&self, core: u32) -> &[(u64, u64)] {
+        &self.completions[core as usize]
     }
 
     /// Posts a fire-and-forget prefetch: the line is brought into the LLC
@@ -378,46 +377,14 @@ impl MemorySystem {
             };
             let done = done_ps + self.xbar_return_ps;
             if let Some(mut waiters) = self.by_line.remove(&line) {
-                for &t in &waiters {
-                    if let Some(r) = self.requests.get_mut(&t) {
-                        r.state = ReqState::Done(done);
-                    }
+                for &(core, owner) in &waiters {
+                    self.completions[core as usize].push((done, owner));
                 }
                 waiters.clear();
                 self.waiter_pool.push(waiters);
             }
         }
         self.completion_buf = completed;
-    }
-
-    /// Polls a ticket: `Some(done_ps)` once the data is back at the core
-    /// and `now_ps >= done_ps`. Completed tickets are retired on return.
-    pub fn poll(&mut self, ticket: MemTicket, now_ps: u64) -> Option<u64> {
-        match self.requests.get(&ticket) {
-            Some(Request {
-                state: ReqState::Done(d),
-            }) if *d <= now_ps => {
-                let d = *d;
-                self.requests.remove(&ticket);
-                Some(d)
-            }
-            _ => None,
-        }
-    }
-
-    /// Peeks a ticket's completion time without retiring it: `Some(done_ps)`
-    /// once the fill's arrival time is known (the time may still be in the
-    /// future), `None` while the request waits on DRAM scheduling.
-    ///
-    /// This is the cycle-skip probe's view of a ticket; unlike
-    /// [`MemorySystem::poll`] it never mutates state.
-    pub fn ticket_done_ps(&self, ticket: MemTicket) -> Option<u64> {
-        match self.requests.get(&ticket) {
-            Some(Request {
-                state: ReqState::Done(d),
-            }) => Some(*d),
-            _ => None,
-        }
     }
 
     /// Earliest time DRAM could issue any queued command, or `None` when
@@ -444,17 +411,17 @@ impl MemorySystem {
     /// cluster's ticks can advance the shared scheduler and issue this
     /// cluster's read between two of its own [`MemorySystem::tick`]s, at
     /// which point the read is neither queued (invisible to the
-    /// completion bound) nor resolved (its ticket still reads as
-    /// in-DRAM). Without the term the skip target can overshoot the
-    /// fill's poll cycle and drop core work.
+    /// completion bound) nor resolved (no completion has been pushed to
+    /// its core yet). Without the term the skip target can overshoot the
+    /// fill's completion cycle and drop core work.
     ///
-    /// No fill can be polled before this time, so the cycle-skip fast
+    /// No fill can complete at a core before this time, so the cycle-skip fast
     /// path may jump up to this bound even across DRAM command issues,
     /// provided the skip replays the uncore's per-cycle
     /// [`MemorySystem::tick`] boundaries.
     pub fn next_fill_wake_ps(&self) -> Option<u64> {
         // Detached: the epoch horizon *is* the legality guarantee that no
-        // fill becomes pollable before it, so it stands in for the real
+        // fill reaches a core before it, so it stands in for the real
         // bound and lets stalled clusters skip straight to their epoch end.
         if let Some(d) = &self.detached {
             return Some(d.horizon_ps);
@@ -534,11 +501,6 @@ impl MemorySystem {
         self.xbar.transfers()
     }
 
-    /// Outstanding request count (diagnostics).
-    pub fn outstanding(&self) -> usize {
-        self.requests.len()
-    }
-
     /// Prefetches issued so far.
     pub fn prefetches(&self) -> u64 {
         self.prefetches
@@ -553,69 +515,141 @@ mod tests {
         MemorySystem::new(&SimConfig::paper_cluster(1000.0))
     }
 
-    fn wait_done(m: &mut MemorySystem, t: MemTicket) -> u64 {
+    /// Ticks the uncore on a 1 ns clock until `core` holds a completion
+    /// for `owner` that is due (the cycle a core would consume it) and
+    /// returns its `done_ps`.
+    fn wait_done(m: &mut MemorySystem, core: u32, owner: u64) -> u64 {
         for step in 1..10_000u64 {
             let now = step * 1_000;
             m.tick(now);
-            if let Some(d) = m.poll(t, now) {
-                return d;
+            let due = m
+                .pending_completions(core)
+                .iter()
+                .find(|&&(done, o)| o == owner && done <= now);
+            if let Some(&(done, _)) = due {
+                return done;
             }
         }
         panic!("request never completed");
     }
 
+    /// Submits a load miss and waits for it; returns its latency.
+    fn load_latency(m: &mut MemorySystem, core: u32, addr: u64, owner: u64, now: u64) -> u64 {
+        m.submit(core, addr, MemRequestKind::Load, owner, now);
+        wait_done(m, core, owner) - now
+    }
+
     #[test]
     fn llc_hit_is_fast_llc_miss_is_slow() {
         let mut m = memsys();
-        let t1 = wait_done_submit(&mut m, 0, 0x1000, 0);
+        let miss = load_latency(&mut m, 0, 0x1000, 1, 0);
         // Second access to the same line: LLC hit.
-        let start = 1_000_000;
-        let t2 = m.submit(0, 0x1000, MemRequestKind::Load, start);
-        let d2 = wait_done(&mut m, t2) - start;
+        let hit = load_latency(&mut m, 0, 0x1000, 2, 1_000_000);
         assert!(
-            d2 < 10_000,
-            "llc hit should be a handful of ns, got {d2} ps"
+            hit < 10_000,
+            "llc hit should be a handful of ns, got {hit} ps"
         );
-        assert!(t1 > 25_000, "cold miss goes to DRAM, got {t1} ps");
+        assert!(miss > 25_000, "cold miss goes to DRAM, got {miss} ps");
     }
 
-    fn wait_done_submit(m: &mut MemorySystem, core: u32, addr: u64, now: u64) -> u64 {
-        let t = m.submit(core, addr, MemRequestKind::Load, now);
-        wait_done(m, t) - now
+    #[test]
+    fn llc_hit_resolves_at_submit() {
+        let mut m = memsys();
+        m.install_llc(0x1000, 0);
+        m.submit(0, 0x1000, MemRequestKind::Load, 7, 5_000);
+        let queued = m.pending_completions(0).to_vec();
+        assert_eq!(queued.len(), 1, "no tick needed for an LLC hit");
+        let (done, owner) = queued[0];
+        assert_eq!(owner, 7);
+        assert!(done > 5_000, "data still has to cross back: {done}");
+        assert_eq!(m.drain_completions(0).collect::<Vec<_>>(), queued);
+        assert!(m.pending_completions(0).is_empty());
+    }
+
+    #[test]
+    fn dram_fill_resolves_at_tick_ahead_of_its_arrival() {
+        let mut m = memsys();
+        m.submit(0, 0x4000, MemRequestKind::Load, 3, 0);
+        assert!(m.pending_completions(0).is_empty(), "a miss waits on DRAM");
+        for step in 1..10_000u64 {
+            let until = step * 1_000;
+            m.tick(until);
+            if let Some(&(done, owner)) = m.pending_completions(0).first() {
+                assert_eq!(owner, 3);
+                assert!(
+                    done > until,
+                    "resolved at the tick to {until} ps, before the data arrives at {done} ps"
+                );
+                return;
+            }
+        }
+        panic!("the fill never resolved");
     }
 
     #[test]
     fn same_line_requests_merge() {
         let mut m = memsys();
-        let a = m.submit(0, 0x2000, MemRequestKind::Load, 0);
-        let b = m.submit(1, 0x2010, MemRequestKind::Load, 0);
-        let da = wait_done(&mut m, a);
-        let db = wait_done(&mut m, b);
+        m.submit(0, 0x2000, MemRequestKind::Load, 1, 0);
+        m.submit(1, 0x2010, MemRequestKind::Load, 2, 0);
+        let da = wait_done(&mut m, 0, 1);
+        let db = wait_done(&mut m, 1, 2);
         assert_eq!(da, db, "merged requests complete together");
         assert_eq!(m.dram_stats().reads, 1, "only one DRAM read issued");
     }
 
     #[test]
+    fn merged_load_and_store_reach_their_own_cores() {
+        let mut m = memsys();
+        m.submit(2, 0x6000, MemRequestKind::Load, 41, 0);
+        m.submit(3, 0x6020, MemRequestKind::Store, u64::MAX, 0);
+        let load = wait_done(&mut m, 2, 41);
+        let store = wait_done(&mut m, 3, u64::MAX);
+        assert_eq!(load, store, "one fill serves both");
+        assert_eq!(m.pending_completions(2), &[(load, 41)]);
+        assert_eq!(m.pending_completions(3), &[(store, u64::MAX)]);
+        assert!(m.pending_completions(0).is_empty() && m.pending_completions(1).is_empty());
+        assert_eq!(m.dram_stats().reads, 1);
+    }
+
+    #[test]
+    fn completions_stay_in_their_cluster_on_a_shared_dram() {
+        let cfg = SimConfig::paper_cluster(1000.0);
+        let dram: SharedDram = Arc::new(Mutex::new(DramSystem::new(cfg.dram)));
+        let mut a = MemorySystem::with_shared_dram(&cfg.cluster(), Arc::clone(&dram), 0);
+        let mut b = MemorySystem::with_shared_dram(&cfg.cluster(), Arc::clone(&dram), 1);
+        a.submit(0, 0x8000, MemRequestKind::Load, 10, 0);
+        b.submit(0, 0x9000, MemRequestKind::Load, 20, 0);
+        // Cluster B drives the shared scheduler alone for a while: its own
+        // fill resolves, cluster A's is left for A's own tick.
+        for step in 1..10_000u64 {
+            b.tick(step * 1_000);
+            if !b.pending_completions(0).is_empty() {
+                break;
+            }
+        }
+        assert_eq!(b.pending_completions(0).len(), 1);
+        assert_eq!(b.pending_completions(0)[0].1, 20);
+        let done = wait_done(&mut a, 0, 10);
+        assert_eq!(a.pending_completions(0), &[(done, 10)]);
+        for core in 0..cfg.cores {
+            assert!(b.pending_completions(core).iter().all(|&(_, o)| o == 20));
+            assert!(a.pending_completions(core).iter().all(|&(_, o)| o == 10));
+        }
+        assert_eq!(dram.lock().unwrap().stats().reads, 2);
+    }
+
+    #[test]
     fn store_miss_takes_ownership() {
         let mut m = memsys();
-        let a = m.submit(0, 0x3000, MemRequestKind::Load, 0);
-        wait_done(&mut m, a);
-        let b = m.submit(1, 0x3000, MemRequestKind::Store, 2_000_000);
-        wait_done(&mut m, b);
+        m.submit(0, 0x3000, MemRequestKind::Load, 1, 0);
+        wait_done(&mut m, 0, 1);
+        m.submit(1, 0x3000, MemRequestKind::Store, 2, 2_000_000);
+        wait_done(&mut m, 1, 2);
         let inv = m.drain_invalidations();
         assert!(
             inv.iter().any(|i| i.cores & 1 != 0),
             "core 0 must be invalidated by core 1's store"
         );
-    }
-
-    #[test]
-    fn poll_before_completion_returns_none() {
-        let mut m = memsys();
-        let t = m.submit(0, 0x4000, MemRequestKind::Load, 0);
-        assert!(m.poll(t, 1).is_none());
-        wait_done(&mut m, t);
-        assert_eq!(m.outstanding(), 0);
     }
 
     #[test]

@@ -311,9 +311,12 @@ impl WorkloadProfile {
     ///
     /// # Panics
     ///
-    /// Panics (with the offending field) if fractions fall outside `[0, 1]`
-    /// or the mix over-commits.
+    /// Panics (with the offending field) if fractions fall outside `[0, 1]`,
+    /// the mix over-commits, or a region the stream draws lines from
+    /// (code, cold data, and warm data when it is used) is smaller than
+    /// one cache line.
     pub fn validate(&self) {
+        const LINE: u64 = 64;
         let frac_fields = [
             ("loads", self.loads),
             ("stores", self.stores),
@@ -338,7 +341,24 @@ impl WorkloadProfile {
             "locality fractions exceed 100%: {}",
             self.name
         );
-        assert!(self.cold_bytes > 0 && self.code_bytes > 0);
+        // Every region the stream draws lines from must hold at least one.
+        for (name, bytes) in [
+            ("code_bytes", self.code_bytes),
+            ("cold_bytes", self.cold_bytes),
+        ] {
+            assert!(
+                bytes >= LINE,
+                "{name} = {bytes} is smaller than one {LINE}-byte line: {}",
+                self.name
+            );
+        }
+        assert!(
+            self.warm_fraction == 0.0 || self.warm_bytes >= LINE,
+            "warm_bytes = {} is smaller than one {LINE}-byte line while warm_fraction = {}: {}",
+            self.warm_bytes,
+            self.warm_fraction,
+            self.name
+        );
         assert!(self.dep_dist_mean >= 1.0);
     }
 }
@@ -405,6 +425,52 @@ mod tests {
             );
             assert!(p.code_cold_rate > 0.005);
         }
+    }
+
+    /// Web Search with one field edited; the sub-line cases below are
+    /// rejected when the stream is built.
+    fn with(edit: impl FnOnce(&mut WorkloadProfile)) -> WorkloadProfile {
+        let mut p = WorkloadProfile::cloudsuite(CloudSuiteApp::WebSearch);
+        edit(&mut p);
+        p
+    }
+
+    #[test]
+    #[should_panic(expected = "code_bytes = 63 is smaller than one 64-byte line")]
+    fn sub_line_code_region_rejected() {
+        let _ = crate::ProfileStream::new(with(|p| p.code_bytes = 63), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "cold_bytes = 1 is smaller than one 64-byte line")]
+    fn sub_line_cold_region_rejected() {
+        let _ = crate::ProfileStream::new(with(|p| p.cold_bytes = 1), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "warm_bytes = 32 is smaller than one 64-byte line")]
+    fn sub_line_warm_region_rejected_when_used() {
+        let _ = crate::ProfileStream::new(with(|p| p.warm_bytes = 32), 0);
+    }
+
+    #[test]
+    fn unused_warm_region_may_be_empty() {
+        use ntc_sim::InstructionStream;
+        let mut s = crate::ProfileStream::new(
+            with(|p| {
+                p.warm_fraction = 0.0;
+                p.warm_bytes = 0;
+            }),
+            0,
+        );
+        let warm = (0..10_000)
+            .map(|_| s.next_instr())
+            .filter(|i| {
+                i.op.is_memory()
+                    && (crate::stream::WARM_BASE..crate::stream::COLD_BASE).contains(&i.addr)
+            })
+            .count();
+        assert_eq!(warm, 0);
     }
 
     #[test]
