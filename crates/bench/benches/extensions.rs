@@ -1,5 +1,5 @@
 //! Criterion bench: the extension subsystems — queueing simulation,
-//! variation binning, thermal fixed point and trace capture/replay.
+//! variation binning and the thermal fixed point.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
@@ -41,26 +41,5 @@ fn bench_thermal(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_trace(c: &mut Criterion) {
-    use ntc_sim::streams::RandomAccessStream;
-    use ntc_sim::Trace;
-    let mut g = c.benchmark_group("trace");
-    const N: usize = 100_000;
-    g.throughput(Throughput::Elements(N as u64));
-    g.bench_function("capture_100k", |b| {
-        b.iter(|| {
-            let mut s = RandomAccessStream::new(1 << 28, 0.35, 4, 11);
-            black_box(Trace::capture(&mut s, N))
-        })
-    });
-    g.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_queue_sim,
-    bench_binning,
-    bench_thermal,
-    bench_trace
-);
+criterion_group!(benches, bench_queue_sim, bench_binning, bench_thermal);
 criterion_main!(benches);

@@ -1,211 +1,24 @@
 //! Criterion bench: the simulator's hot kernels — cluster cycles under
-//! each workload class and the DRAM scheduler under load. These are not
-//! paper figures; they guard the harness's own performance.
+//! each workload class, the cycle-skip fast path, the batched ladder and
+//! the DRAM scheduler under load. The bodies live in
+//! [`ntc_bench::kernels`], which `bench-trajectory` times too. These are
+//! not paper figures; they guard the harness's own performance.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use ntc_sim::streams::PointerChaseStream;
-use ntc_sim::{ClusterSim, SimConfig};
-use ntc_workloads::{prewarm_cluster, CloudSuiteApp, ProfileStream, WorkloadProfile};
-use std::hint::black_box;
 
-fn bench_cluster(c: &mut Criterion) {
-    let mut g = c.benchmark_group("cluster_sim");
-    g.sample_size(10);
-    const CYCLES: u64 = 20_000;
-    g.throughput(Throughput::Elements(CYCLES));
-    for app in [CloudSuiteApp::WebSearch, CloudSuiteApp::DataServing] {
-        let profile = WorkloadProfile::cloudsuite(app);
-        g.bench_function(format!("{app}_20k_cycles"), |b| {
-            b.iter(|| {
-                let p = profile.clone();
-                let mut sim = ClusterSim::new(SimConfig::paper_cluster(1000.0), |core| {
-                    ProfileStream::new(p.clone(), u64::from(core))
-                });
-                prewarm_cluster(&mut sim, &profile);
-                black_box(sim.run(CYCLES))
-            })
-        });
-    }
-    g.finish();
-}
-
-/// The cycle-skip fast path's target regime — a cluster of pure
-/// dependent pointer chases, where every core spends most cycles with
-/// its ROB head blocked on a DRAM miss — benchmarked with the fast path
-/// on and off at three clocks below the sweep's 2 GHz nominal. The
-/// committed baseline lives in `BENCH_sim.json`. Skip benefit grows with
-/// core frequency because a fixed DRAM latency spans more core cycles:
-/// at near-threshold clocks a miss lasts only a handful of cycles, so
-/// there is little left to skip. The engine's skip governor measures
-/// exactly that payoff online (elided-replay cycles per probe) and
-/// suspends probing where it can't pay, so skip wins ~1.3× at nominal
-/// and sits at parity — not below it — at the low clocks.
-fn bench_cycle_skip(c: &mut Criterion) {
-    let mut g = c.benchmark_group("cycle_skip");
-    g.sample_size(10);
-    const CYCLES: u64 = 20_000;
-    g.throughput(Throughput::Elements(CYCLES));
-    for (name, mhz) in [
-        ("memory_bound_near_threshold", 500.0),
-        ("memory_bound_low_freq", 1000.0),
-        ("memory_bound_nominal", 2000.0),
-    ] {
-        for (mode, skip) in [("skip", true), ("naive", false)] {
-            g.bench_function(format!("{name}_{mode}"), |b| {
-                b.iter(|| {
-                    let mut sim = ClusterSim::new(SimConfig::paper_cluster(mhz), |i| {
-                        PointerChaseStream::new(256 << 20, 0, u64::from(i))
-                    });
-                    sim.set_cycle_skip(skip);
-                    black_box(sim.run(CYCLES))
-                })
-            });
+fn bench_kernels(c: &mut Criterion) {
+    for group in ntc_bench::kernels::groups() {
+        let mut g = c.benchmark_group(group.name);
+        g.sample_size(10);
+        if let Some(n) = group.elements {
+            g.throughput(Throughput::Elements(n));
         }
+        for kernel in &group.kernels {
+            g.bench_function(&kernel.name, |b| b.iter(|| kernel.run()));
+        }
+        g.finish();
     }
-    g.finish();
 }
 
-/// The parallel chip engine: a 4-cluster chip of dependent pointer
-/// chases at the nominal clock — the quiescent-stretch regime the DRAM
-/// epoch barrier can shard — run serial (`threads = 1`, the reference
-/// engine) and over 2/4 workers, on the naive per-cycle engine (with
-/// cycle-skip on, the quiescent stretches are skipped rather than
-/// ticked, so there is nothing left to fan out). Statistics are
-/// bit-identical at any thread count (the `parallel-chip` diffcheck pair
-/// enforces it); this group tracks what the barrier machinery actually
-/// buys. Today that is modest: the legality frontier `min(fill floor,
-/// E_core + L_min)` collapses epochs below the dispatch threshold
-/// whenever any core is active or a fill is imminent (see ROADMAP item 4
-/// for the planned per-cluster lookahead). `NTC_SIM_THREADS` applies the
-/// same knob to every figure binary.
-fn bench_parallel_chip(c: &mut Criterion) {
-    use ntc_sim::ChipSim;
-
-    let mut g = c.benchmark_group("parallel_chip");
-    g.sample_size(10);
-    const CYCLES: u64 = 20_000;
-    const CLUSTERS: u32 = 4;
-    g.throughput(Throughput::Elements(CYCLES));
-    for (name, threads) in [
-        ("chase_4cl_naive_serial", 1),
-        ("chase_4cl_naive_2threads", 2),
-        ("chase_4cl_naive_4threads", 4),
-    ] {
-        g.bench_function(name, |b| {
-            b.iter(|| {
-                let mut chip = ChipSim::new(SimConfig::paper_cluster(2000.0), CLUSTERS, |cl, c| {
-                    PointerChaseStream::new(256 << 20, 0, u64::from(cl) * 4 + u64::from(c))
-                });
-                chip.set_cycle_skip(false);
-                chip.set_threads(threads);
-                black_box(chip.run(CYCLES))
-            })
-        });
-    }
-    g.finish();
-}
-
-/// The batched frequency ladder: five Web Search points measured cold
-/// per-point (five full warm-ups) versus one `measure_ladder` batch (one
-/// warm-up at the top frequency, DVFS-rebased down with short settle
-/// windows). The batch trades bit-identity for a several-fold cut in
-/// simulated warm-up cycles; this group records the realized ratio.
-fn bench_batched_ladder(c: &mut Criterion) {
-    use ntc_core::{ClusterMeasurer, SimMeasurer};
-
-    let mut g = c.benchmark_group("batched_ladder");
-    g.sample_size(10);
-    let freqs = [2000.0, 1500.0, 1000.0, 500.0, 250.0];
-    let measurer = SimMeasurer::fast(WorkloadProfile::cloudsuite(CloudSuiteApp::WebSearch));
-    g.bench_function("web_search_5pt_per_point", |b| {
-        b.iter(|| {
-            for &mhz in &freqs {
-                black_box(measurer.measure(mhz).unwrap());
-            }
-        })
-    });
-    g.bench_function("web_search_5pt_batched", |b| {
-        b.iter(|| black_box(measurer.measure_ladder(&freqs).unwrap()))
-    });
-    g.finish();
-}
-
-fn bench_dram(c: &mut Criterion) {
-    use ntc_sim::config::DramTimingConfig;
-    use ntc_sim::dram::DramSystem;
-
-    let mut g = c.benchmark_group("dram_scheduler");
-    const REQUESTS: u64 = 10_000;
-    g.throughput(Throughput::Elements(REQUESTS));
-    g.bench_function("fr_fcfs_random_10k_reads", |b| {
-        b.iter(|| {
-            let mut sys = DramSystem::new(DramTimingConfig::ddr4_1600_paper());
-            let mut x = 0x9E3779B97F4A7C15u64;
-            for i in 0..REQUESTS {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                sys.read((x % (1 << 30)) & !63, i * 500);
-                if i % 64 == 63 {
-                    sys.tick(i * 500);
-                }
-            }
-            sys.tick(u64::MAX / 2);
-            black_box(sys.stats())
-        })
-    });
-    g.finish();
-}
-
-/// Deep-queue regime: bursts outpace service so channel queues sit at the
-/// depths a 36-core chip produces, with ~25% writes concentrated on few
-/// rows — the worst case for the scheduler's row-hazard bookkeeping and
-/// the regime where indexed selection beats the O(n) scan hardest.
-fn bench_dram_deep_queue(c: &mut Criterion) {
-    use ntc_sim::config::DramTimingConfig;
-    use ntc_sim::dram::DramSystem;
-
-    let mut g = c.benchmark_group("dram_scheduler_deep_queue");
-    g.sample_size(10);
-    const REQUESTS: u64 = 10_000;
-    g.throughput(Throughput::Elements(REQUESTS));
-    g.bench_function("mixed_rw_deep_queue_10k", |b| {
-        b.iter(|| {
-            let mut sys = DramSystem::new(DramTimingConfig::ddr4_1600_paper());
-            let mut x = 0x9E3779B97F4A7C15u64;
-            let mut now = 0u64;
-            for i in 0..REQUESTS {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                // A handful of hot rows -> frequent same-bank write hazards.
-                let line = ((x >> 8) % 8) * (1 << 20) + (x % 16) * 64;
-                if x.is_multiple_of(4) {
-                    sys.write(line, now);
-                } else {
-                    sys.read(line, now);
-                }
-                if i % 128 == 127 {
-                    // Enqueue 128 per ~2.5 ns of DRAM time: far above the
-                    // service rate, so queues run hundreds deep.
-                    now += 2_500;
-                    sys.tick(now);
-                }
-            }
-            sys.tick(u64::MAX / 2);
-            black_box(sys.stats())
-        })
-    });
-    g.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_cluster,
-    bench_cycle_skip,
-    bench_parallel_chip,
-    bench_batched_ladder,
-    bench_dram,
-    bench_dram_deep_queue
-);
+criterion_group!(benches, bench_kernels);
 criterion_main!(benches);

@@ -1,11 +1,8 @@
 //! `bench-trajectory`: appends one machine-readable perf entry to
 //! `BENCH_sim.json`.
 //!
-//! Times the same kernel groups as the `simulator_kernels` Criterion
-//! bench — cluster cycles per workload class, the cycle-skip fast path
-//! against the naive loop across three clocks, the epoch-barrier
-//! parallel chip, the batched frequency ladder, and the DRAM scheduler
-//! in both the random and deep-queue regimes — with a cheap best-of-N
+//! Times every kernel in [`ntc_bench::kernels`] — the same bodies the
+//! `simulator_kernels` Criterion bench runs — with a cheap best-of-N
 //! `Instant` harness, then appends `{commit, date, groups}` to the
 //! `trajectory` array (creating it when absent). The existing top-level
 //! baseline fields are left untouched, so the file keeps its curated
@@ -19,11 +16,7 @@
 //! bench-trajectory [--file PATH] [--dry-run]
 //! ```
 
-use ntc_sim::streams::PointerChaseStream;
-use ntc_sim::{ClusterSim, SimConfig};
-use ntc_workloads::{prewarm_cluster, CloudSuiteApp, ProfileStream, WorkloadProfile};
 use serde_json::Value;
-use std::hint::black_box;
 use std::process::{Command, ExitCode};
 use std::time::Instant;
 
@@ -31,7 +24,7 @@ use std::time::Instant;
 /// "fastest stable iteration" convention Criterion's estimates follow).
 const REPS: u32 = 3;
 
-fn best_of<F: FnMut()>(mut f: F) -> f64 {
+fn best_of(f: impl Fn()) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..REPS {
         let t = Instant::now();
@@ -39,89 +32,6 @@ fn best_of<F: FnMut()>(mut f: F) -> f64 {
         best = best.min(t.elapsed().as_secs_f64() * 1e3);
     }
     (best * 100.0).round() / 100.0
-}
-
-fn cluster_kernel_ms(app: CloudSuiteApp) -> f64 {
-    let profile = WorkloadProfile::cloudsuite(app);
-    best_of(|| {
-        let p = profile.clone();
-        let mut sim = ClusterSim::new(SimConfig::paper_cluster(1000.0), |core| {
-            ProfileStream::new(p.clone(), u64::from(core))
-        });
-        prewarm_cluster(&mut sim, &profile);
-        black_box(sim.run(20_000));
-    })
-}
-
-fn cycle_skip_kernel_ms(mhz: f64, skip: bool) -> f64 {
-    best_of(|| {
-        let mut sim = ClusterSim::new(SimConfig::paper_cluster(mhz), |i| {
-            PointerChaseStream::new(256 << 20, 0, u64::from(i))
-        });
-        sim.set_cycle_skip(skip);
-        black_box(sim.run(20_000));
-    })
-}
-
-fn parallel_chip_kernel_ms(threads: usize) -> f64 {
-    use ntc_sim::ChipSim;
-    best_of(|| {
-        let mut chip = ChipSim::new(SimConfig::paper_cluster(2000.0), 4, |cl, c| {
-            PointerChaseStream::new(256 << 20, 0, u64::from(cl) * 4 + u64::from(c))
-        });
-        chip.set_cycle_skip(false);
-        chip.set_threads(threads);
-        black_box(chip.run(20_000));
-    })
-}
-
-fn batched_ladder_kernel_ms(batched: bool) -> f64 {
-    use ntc_core::{ClusterMeasurer, SimMeasurer};
-    let freqs = [2000.0, 1500.0, 1000.0, 500.0, 250.0];
-    let measurer = SimMeasurer::fast(WorkloadProfile::cloudsuite(CloudSuiteApp::WebSearch));
-    best_of(|| {
-        if batched {
-            black_box(measurer.measure_ladder(&freqs).unwrap());
-        } else {
-            for &mhz in &freqs {
-                black_box(measurer.measure(mhz).unwrap());
-            }
-        }
-    })
-}
-
-fn dram_kernel_ms(deep_queue: bool) -> f64 {
-    use ntc_sim::config::DramTimingConfig;
-    use ntc_sim::dram::DramSystem;
-    best_of(|| {
-        let mut sys = DramSystem::new(DramTimingConfig::ddr4_1600_paper());
-        let mut x = 0x9E3779B97F4A7C15u64;
-        let mut now = 0u64;
-        for i in 0..10_000u64 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            if deep_queue {
-                let line = ((x >> 8) % 8) * (1 << 20) + (x % 16) * 64;
-                if x.is_multiple_of(4) {
-                    sys.write(line, now);
-                } else {
-                    sys.read(line, now);
-                }
-                if i % 128 == 127 {
-                    now += 2_500;
-                    sys.tick(now);
-                }
-            } else {
-                sys.read((x % (1 << 30)) & !63, i * 500);
-                if i % 64 == 63 {
-                    sys.tick(i * 500);
-                }
-            }
-        }
-        sys.tick(u64::MAX / 2);
-        black_box(sys.stats());
-    })
 }
 
 fn map(fields: Vec<(&str, Value)>) -> Value {
@@ -169,94 +79,19 @@ fn main() -> ExitCode {
     let date = command_line("date", &["+%F"]).unwrap_or_else(|| "unknown".to_owned());
 
     eprintln!("bench-trajectory: timing kernel groups (best of {REPS})...");
-    let groups = map(vec![
-        (
-            "cluster_sim",
-            map(vec![
-                (
-                    "websearch_20k_cycles_ms",
-                    Value::F64(cluster_kernel_ms(CloudSuiteApp::WebSearch)),
-                ),
-                (
-                    "data_serving_20k_cycles_ms",
-                    Value::F64(cluster_kernel_ms(CloudSuiteApp::DataServing)),
-                ),
-            ]),
-        ),
-        (
-            "cycle_skip",
-            map(vec![
-                (
-                    "memory_bound_near_threshold_skip_ms",
-                    Value::F64(cycle_skip_kernel_ms(500.0, true)),
-                ),
-                (
-                    "memory_bound_near_threshold_naive_ms",
-                    Value::F64(cycle_skip_kernel_ms(500.0, false)),
-                ),
-                (
-                    "memory_bound_low_freq_skip_ms",
-                    Value::F64(cycle_skip_kernel_ms(1000.0, true)),
-                ),
-                (
-                    "memory_bound_low_freq_naive_ms",
-                    Value::F64(cycle_skip_kernel_ms(1000.0, false)),
-                ),
-                (
-                    "memory_bound_nominal_skip_ms",
-                    Value::F64(cycle_skip_kernel_ms(2000.0, true)),
-                ),
-                (
-                    "memory_bound_nominal_naive_ms",
-                    Value::F64(cycle_skip_kernel_ms(2000.0, false)),
-                ),
-            ]),
-        ),
-        (
-            "parallel_chip",
-            map(vec![
-                (
-                    "chase_4cl_naive_serial_ms",
-                    Value::F64(parallel_chip_kernel_ms(1)),
-                ),
-                (
-                    "chase_4cl_naive_2threads_ms",
-                    Value::F64(parallel_chip_kernel_ms(2)),
-                ),
-                (
-                    "chase_4cl_naive_4threads_ms",
-                    Value::F64(parallel_chip_kernel_ms(4)),
-                ),
-            ]),
-        ),
-        (
-            "batched_ladder",
-            map(vec![
-                (
-                    "web_search_5pt_per_point_ms",
-                    Value::F64(batched_ladder_kernel_ms(false)),
-                ),
-                (
-                    "web_search_5pt_batched_ms",
-                    Value::F64(batched_ladder_kernel_ms(true)),
-                ),
-            ]),
-        ),
-        (
-            "dram_scheduler",
-            map(vec![(
-                "fr_fcfs_random_10k_reads_ms",
-                Value::F64(dram_kernel_ms(false)),
-            )]),
-        ),
-        (
-            "dram_scheduler_deep_queue",
-            map(vec![(
-                "mixed_rw_deep_queue_10k_ms",
-                Value::F64(dram_kernel_ms(true)),
-            )]),
-        ),
-    ]);
+    let groups = Value::Map(
+        ntc_bench::kernels::groups()
+            .iter()
+            .map(|group| {
+                let cells = group
+                    .kernels
+                    .iter()
+                    .map(|k| (format!("{}_ms", k.name), Value::F64(best_of(|| k.run()))))
+                    .collect();
+                (group.name.to_owned(), Value::Map(cells))
+            })
+            .collect(),
+    );
     let entry = map(vec![
         ("commit", Value::Str(commit)),
         ("date", Value::Str(date)),

@@ -16,6 +16,11 @@
 //! | Body-bias ablation | [`ablation_bias`] | `ablation_bias` |
 //! | Uncore-proportionality ablation | [`ablation_uncore`] | `ablation_uncore` |
 //! | Consolidation ablation | [`ablation_consolidation`] | `ablation_consolidation` |
+//!
+//! The simulator's own hot kernels live in [`kernels`], shared by the
+//! `simulator_kernels` bench and the `bench-trajectory` recorder.
+
+pub mod kernels;
 
 use ntc_core::report::{Figure, Series};
 use ntc_core::{

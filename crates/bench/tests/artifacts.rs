@@ -100,3 +100,64 @@ fn simulated_artifacts_byte_reproduce_at_fast_fidelity() {
         &ntc_bench::fig_hetero(fidelity).to_json(),
     );
 }
+
+/// The "measured QoS floor" column of EXPERIMENTS.md's Figure 2 table,
+/// as `(application, MHz)` rows.
+fn documented_qos_floors() -> Vec<(String, f64)> {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../EXPERIMENTS.md");
+    let doc = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("{} must exist: {e}", path.display()));
+    doc.lines()
+        .skip_while(|l| !l.starts_with("| application | paper window | measured QoS floor |"))
+        .skip(2)
+        .take_while(|l| l.starts_with('|'))
+        .map(|row| {
+            let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+            let mhz = cells[3]
+                .strip_suffix(" MHz")
+                .and_then(|v| v.parse().ok())
+                .unwrap_or_else(|| panic!("unparsable QoS floor in row {row:?}"));
+            (cells[1].to_owned(), mhz)
+        })
+        .collect()
+}
+
+/// EXPERIMENTS.md's QoS floors must be what the committed `fig2.json`
+/// says: per application, the lowest frequency whose normalized p99
+/// meets QoS under [`ntc_qos::QosPoint::meets_qos`].
+#[test]
+fn documented_qos_floors_match_fig2_artifact() {
+    let fig2: serde_json::Value =
+        serde_json::from_str(&committed("fig2.json")).expect("fig2.json parses");
+    let series = fig2["series"].as_seq().expect("fig2 has series");
+    let documented = documented_qos_floors();
+    assert_eq!(
+        documented.len(),
+        series.len(),
+        "one documented floor per Figure 2 series"
+    );
+    for s in series {
+        let label = s["label"].as_str().expect("series label");
+        let floor = s["points"]
+            .as_seq()
+            .expect("series points")
+            .iter()
+            .map(|p| ntc_qos::QosPoint {
+                mhz: p[0].as_f64().expect("MHz"),
+                uips: 0.0,
+                normalized_l99: p[1].as_f64().expect("normalized p99"),
+            })
+            .filter(ntc_qos::QosPoint::meets_qos)
+            .map(|p| p.mhz)
+            .fold(f64::INFINITY, f64::min);
+        let (_, doc_floor) = documented
+            .iter()
+            .find(|(app, _)| app == label)
+            .unwrap_or_else(|| panic!("EXPERIMENTS.md has no QoS floor row for {label}"));
+        assert_eq!(
+            *doc_floor, floor,
+            "EXPERIMENTS.md says {label}'s QoS floor is {doc_floor} MHz; \
+             results/fig2.json says {floor} MHz"
+        );
+    }
+}

@@ -9,12 +9,12 @@ use ntc_diffcheck::{run, DiffcheckOptions, OraclePair};
 fn clean_tree_is_divergence_free_across_all_pairs() {
     let opts = DiffcheckOptions {
         seed: 0xD1FF_C0DE,
-        max_cases: Some(21),
+        max_cases: Some(18),
         shrink: false,
         ..DiffcheckOptions::default()
     };
     let report = run(&opts);
-    assert_eq!(report.cases, 21);
+    assert_eq!(report.cases, 18);
     assert!(
         report.clean(),
         "fast/reference divergences on a clean tree: {:#?}",
@@ -24,8 +24,8 @@ fn clean_tree_is_divergence_free_across_all_pairs() {
             .map(|d| (d.pair, &d.detail))
             .collect::<Vec<_>>()
     );
-    // Round-robin routing: every one of the seven pairs saw cases.
-    assert_eq!(report.tallies.len(), 7);
+    // Round-robin routing: every one of the six pairs saw cases.
+    assert_eq!(report.tallies.len(), 6);
     assert!(report.tallies.iter().all(|t| t.cases == 3));
 }
 

@@ -63,7 +63,6 @@ pub mod memsys;
 pub mod probe;
 pub mod stats;
 pub mod streams;
-pub mod trace;
 pub mod xbar;
 
 pub use bpred::{BranchPredictor, PredictorKind, SyntheticBranchBehaviour};
@@ -78,7 +77,6 @@ pub use probe::{
     ActivityWindow, EnergyProbe, EnergyProbeHandle, Probe, ProbeSample, TimeSeriesProbe,
 };
 pub use stats::{CoreStats, SimStats};
-pub use trace::{Trace, TraceRecorder, TraceStream};
 
 /// Cache-line size used throughout the hierarchy (bytes).
 pub const LINE_BYTES: u64 = 64;

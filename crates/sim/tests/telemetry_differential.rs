@@ -193,23 +193,24 @@ fn hetero_chip_cycle_skip_matches_the_naive_loop() {
     );
 }
 
-// The energy probe's closure guarantee on the multiclock loop: windows
-// partition the reference-lane cycle axis exactly, and every activity
-// counter sums back to the cumulative chip totals — including the little
-// cluster's commits after the reference lane freezes at its window end.
-#[test]
-fn hetero_chip_energy_windows_close_over_the_run() {
-    let mut config = ChipConfig::homogeneous(&SimConfig::paper_cluster(2000.0), 2);
-    config.clusters[1] = ClusterConfig::little_cluster(500.0);
-    let mut chip = ChipSim::new_chip(config, |cl, c| {
-        RandomAccessStream::new(64 << 20, 0.3, 4, u64::from(cl) * 8 + u64::from(c))
-    });
+/// The energy probe's closure guarantee on `config`: windows partition
+/// the reference-lane cycle axis exactly, every activity counter sums back
+/// to the cumulative chip totals, and the probed run matches a plain one.
+fn assert_chip_energy_windows_close(config: ChipConfig) {
+    let run = |probe: Option<EnergyProbe>| {
+        let mut chip = ChipSim::new_chip(config.clone(), |cl, c| {
+            RandomAccessStream::new(64 << 20, 0.3, 4, u64::from(cl) * 8 + u64::from(c))
+        });
+        if let Some(probe) = probe {
+            chip.attach_probe(Box::new(probe));
+        }
+        chip.run(WARM);
+        chip.run_measured(MEASURE);
+        chip.stats()
+    };
     let probe = EnergyProbe::with_window(MEASURE / 8);
     let handle = probe.handle();
-    chip.attach_probe(Box::new(probe));
-    chip.run(WARM);
-    chip.run_measured(MEASURE);
-    let totals = chip.stats();
+    let totals = run(Some(probe));
     let windows = handle.finish();
     assert!(windows.len() > 2, "expected several windows");
     let mut cursor = 0;
@@ -226,6 +227,24 @@ fn hetero_chip_energy_windows_close_over_the_run() {
     assert_eq!(sum(|w| w.xbar_transfers), totals.xbar_transfers);
     assert_eq!(sum(|w| w.dram_reads), totals.dram.reads);
     assert_eq!(sum(|w| w.dram_writes), totals.dram.writes);
+    assert_eq!(run(None), totals, "the energy probe must not change stats");
+}
+
+// On the multiclock loop the closure includes the little cluster's
+// commits after the reference lane freezes at its window end.
+#[test]
+fn hetero_chip_energy_windows_close_over_the_run() {
+    let mut config = ChipConfig::homogeneous(&SimConfig::paper_cluster(2000.0), 2);
+    config.clusters[1] = ClusterConfig::little_cluster(500.0);
+    assert_chip_energy_windows_close(config);
+}
+
+#[test]
+fn homogeneous_chip_energy_windows_close_over_the_run() {
+    assert_chip_energy_windows_close(ChipConfig::homogeneous(
+        &SimConfig::paper_cluster(2000.0),
+        3,
+    ));
 }
 
 // With the telemetry feature compiled in, force tracing on around a

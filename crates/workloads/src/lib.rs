@@ -43,4 +43,4 @@ pub use diurnal::DiurnalLoad;
 pub use prewarm::prewarm_cluster;
 pub use profile::{CloudSuiteApp, QosTarget, WorkloadKind, WorkloadProfile};
 pub use stream::ProfileStream;
-pub use ycsb::{YcsbGenerator, YcsbMix, ZipfSampler};
+pub use ycsb::ZipfSampler;

@@ -1,15 +1,13 @@
-//! YCSB-style request generation with Zipfian key popularity.
+//! YCSB-style Zipfian key popularity.
 //!
 //! The paper's Data Serving workload is a NoSQL store exercised by the
 //! Yahoo! Cloud Serving Benchmark (Cooper et al., SoCC'10), whose defining
 //! property is a Zipf-distributed key popularity (θ ≈ 0.99): a small set of
 //! hot keys absorbs most traffic while a heavy tail defeats caching.
 //! [`ZipfSampler`] implements the standard Gray et al. rejection-free
-//! Zipfian generator; [`YcsbGenerator`] layers the read/update mix on top.
+//! Zipfian generator.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use rand::Rng;
 
 /// Zipfian sampler over `0..n` with parameter `theta` (Gray et al.,
 /// "Quickly generating billion-record synthetic databases", SIGMOD'94).
@@ -106,120 +104,11 @@ impl ZipfSampler {
     }
 }
 
-/// YCSB operation mix.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct YcsbMix {
-    /// Fraction of operations that are reads.
-    pub read: f64,
-    /// Fraction that are updates (read-modify-write).
-    pub update: f64,
-    /// Fraction that are inserts (append new keys).
-    pub insert: f64,
-}
-
-impl YcsbMix {
-    /// Workload A: 50/50 read/update.
-    pub const A: YcsbMix = YcsbMix {
-        read: 0.5,
-        update: 0.5,
-        insert: 0.0,
-    };
-    /// Workload B: 95/5 read/update — the Data Serving default.
-    pub const B: YcsbMix = YcsbMix {
-        read: 0.95,
-        update: 0.05,
-        insert: 0.0,
-    };
-    /// Workload C: read-only.
-    pub const C: YcsbMix = YcsbMix {
-        read: 1.0,
-        update: 0.0,
-        insert: 0.0,
-    };
-    /// Workload D: read-latest with inserts.
-    pub const D: YcsbMix = YcsbMix {
-        read: 0.95,
-        update: 0.0,
-        insert: 0.05,
-    };
-}
-
-/// A YCSB-style operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum YcsbOp {
-    /// Read of the keyed record.
-    Read {
-        /// Record key (popularity rank).
-        key: u64,
-    },
-    /// Update of the keyed record.
-    Update {
-        /// Record key (popularity rank).
-        key: u64,
-    },
-    /// Insert of a fresh record.
-    Insert {
-        /// New record key.
-        key: u64,
-    },
-}
-
-impl YcsbOp {
-    /// The record key the operation touches.
-    pub fn key(&self) -> u64 {
-        match *self {
-            YcsbOp::Read { key } | YcsbOp::Update { key } | YcsbOp::Insert { key } => key,
-        }
-    }
-}
-
-/// Generates a YCSB operation stream.
-#[derive(Debug, Clone)]
-pub struct YcsbGenerator {
-    zipf: ZipfSampler,
-    mix: YcsbMix,
-    rng: SmallRng,
-    next_insert_key: u64,
-}
-
-impl YcsbGenerator {
-    /// Creates a generator over `records` keys with the given mix.
-    pub fn new(records: u64, mix: YcsbMix, seed: u64) -> Self {
-        YcsbGenerator {
-            zipf: ZipfSampler::ycsb_default(records),
-            mix,
-            rng: SmallRng::seed_from_u64(seed),
-            next_insert_key: records,
-        }
-    }
-
-    /// Draws the next operation.
-    pub fn next_op(&mut self) -> YcsbOp {
-        let u: f64 = self.rng.gen();
-        if u < self.mix.read {
-            YcsbOp::Read {
-                key: self.zipf.sample(&mut self.rng),
-            }
-        } else if u < self.mix.read + self.mix.update {
-            YcsbOp::Update {
-                key: self.zipf.sample(&mut self.rng),
-            }
-        } else {
-            let key = self.next_insert_key;
-            self.next_insert_key += 1;
-            YcsbOp::Insert { key }
-        }
-    }
-
-    /// The underlying key-popularity sampler.
-    pub fn zipf(&self) -> &ZipfSampler {
-        &self.zipf
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
 
     #[test]
     fn zipf_head_is_heavy() {
@@ -257,30 +146,6 @@ mod tests {
         }
         assert!(counts[0] > counts[1]);
         assert!(counts[1] > counts[3]);
-    }
-
-    #[test]
-    fn mix_proportions_hold() {
-        let mut g = YcsbGenerator::new(100_000, YcsbMix::B, 4);
-        let n = 50_000;
-        let updates = (0..n)
-            .filter(|_| matches!(g.next_op(), YcsbOp::Update { .. }))
-            .count();
-        let frac = updates as f64 / n as f64;
-        assert!((frac - 0.05).abs() < 0.01, "update share {frac}");
-    }
-
-    #[test]
-    fn inserts_extend_the_keyspace() {
-        let mut g = YcsbGenerator::new(100, YcsbMix::D, 5);
-        let mut saw_insert = false;
-        for _ in 0..1000 {
-            if let YcsbOp::Insert { key } = g.next_op() {
-                assert!(key >= 100);
-                saw_insert = true;
-            }
-        }
-        assert!(saw_insert);
     }
 
     #[test]

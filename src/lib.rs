@@ -13,14 +13,14 @@
 //!   the power-optimal forward-body-bias search.
 //! * [`sim`] — the cycle-level 4-core cluster simulator: 3-way OoO cores,
 //!   L1/LLC hierarchy with coherence, crossbar, DDR4 timing with FR-FCFS.
-//! * [`workloads`] — CloudSuite-calibrated scale-out profiles, YCSB/Zipf
-//!   request generation, banking VMs, Bitbrains population synthesis.
+//! * [`workloads`] — CloudSuite-calibrated scale-out profiles, the YCSB
+//!   Zipf key sampler, banking VMs, Bitbrains population synthesis.
 //! * [`sampling`] — SMARTS sampling, confidence intervals, matched pairs.
 //! * [`qos`] — tail-latency baseline, UIPS-ratio latency scaling, batch
 //!   degradation bounds.
 //! * [`core`] — the study itself: server configuration, frequency sweeps,
-//!   three-scope efficiency, QoS-constrained optima, and the
-//!   energy-proportionality / body-bias / consolidation extensions.
+//!   three-scope efficiency, QoS-constrained optima, and the body-bias
+//!   and consolidation extensions.
 //! * [`telemetry`] — zero-cost observability: metrics registry, span
 //!   tracing with Chrome-trace export, sim probes (compile in with the
 //!   `telemetry` feature, switch on with `NTC_TRACE`/`NTC_METRICS`).
